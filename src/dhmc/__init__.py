@@ -17,11 +17,11 @@ from .diagnostics import (ChainSummary, EssReport, batch_means_ess,
                           min_ess_report, summarize)
 from .embedding import EmbeddedPrior, EmbeddingMap
 from .integrators import (StepOutcome, SweepOrder, coord_step, coord_sweep,
-                          dhmc_step, gaussian_event_step, leapfrog_step)
+                          dhmc_step, gaussian_event_step)
 from .samplers import (KERNELS, KernelTrace, SamplerConfig, SampleStore,
                        dhmc_transition, hmc_transition, mwg_transition,
                        run_chain, rwm_transition)
-from .tuning import TuneState, adapt_stepsize, estimate_mass, flip_statistic
+from .tuning import TuneState, adapt_stepsize, flip_statistic
 
 __version__ = "0.1.0"
 
@@ -32,8 +32,8 @@ __all__ = [
     "PhaseState", "SampleStore", "SamplerConfig", "StepOutcome", "SweepOrder",
     "TargetModel", "TuneState", "adapt_stepsize", "batch_means_ess",
     "coord_step", "coord_sweep", "dhmc_step", "dhmc_transition",
-    "estimate_mass", "flip_statistic", "gaussian_event_step", "hamiltonian",
-    "hmc_transition", "kinetic_energy", "leapfrog_step", "min_ess_report",
+    "flip_statistic", "gaussian_event_step", "hamiltonian",
+    "hmc_transition", "kinetic_energy", "min_ess_report",
     "mwg_transition", "run_chain", "rwm_transition", "sample_momentum",
     "summarize",
 ]

@@ -12,7 +12,7 @@ with I the smooth block and j running over the discontinuous block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,18 +84,15 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class MassSpec:
-    """Mass settings for both blocks.
+    """Diagonal mass settings for both blocks.
 
-    The smooth block is either diagonal (``diag_smooth`` holds the diagonal of
-    M_I) or dense (``dense_smooth`` holds M_I and ``chol_smooth`` its lower
-    Cholesky factor, fixed at construction).  ``m_disc`` holds the Laplace
-    scales m_j for the discontinuous block, aligned with ``disc_idx`` order.
+    ``diag_smooth`` holds the diagonal of M_I for the smooth block;
+    ``m_disc`` holds the Laplace scales m_j for the discontinuous block,
+    aligned with ``disc_idx`` order.
     """
 
     m_disc: np.ndarray
     diag_smooth: np.ndarray | None = None
-    dense_smooth: np.ndarray | None = None
-    chol_smooth: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m_disc = np.array(self.m_disc, dtype=float)
@@ -103,41 +100,17 @@ class MassSpec:
             raise ContractError("m_disc must be a 1-d array of positive finite masses")
         m_disc.setflags(write=False)
         object.__setattr__(self, "m_disc", m_disc)
-        if self.diag_smooth is not None and self.dense_smooth is not None:
-            raise ContractError("supply diag_smooth or dense_smooth, not both")
         if self.diag_smooth is not None:
             diag = np.array(self.diag_smooth, dtype=float)
             if diag.ndim != 1 or np.any(diag <= 0) or not np.all(np.isfinite(diag)):
                 raise ContractError("diag_smooth must be positive and finite")
             diag.setflags(write=False)
             object.__setattr__(self, "diag_smooth", diag)
-        if self.dense_smooth is not None:
-            dense = np.array(self.dense_smooth, dtype=float)
-            if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-                raise ContractError("dense_smooth must be a square matrix")
-            if not np.allclose(dense, dense.T):
-                raise ContractError("dense_smooth must be symmetric")
-            chol = self.chol_smooth
-            if chol is None:
-                try:
-                    chol = np.linalg.cholesky(dense)
-                except np.linalg.LinAlgError as exc:
-                    raise ContractError("dense_smooth must be positive definite") from exc
-            chol = np.array(chol, dtype=float)
-            dense.setflags(write=False)
-            chol.setflags(write=False)
-            object.__setattr__(self, "dense_smooth", dense)
-            object.__setattr__(self, "chol_smooth", chol)
 
     @classmethod
     def diagonal(cls, diag_smooth, m_disc) -> "MassSpec":
         return cls(m_disc=np.asarray(m_disc, dtype=float),
                    diag_smooth=np.asarray(diag_smooth, dtype=float))
-
-    @classmethod
-    def dense(cls, matrix, m_disc) -> "MassSpec":
-        return cls(m_disc=np.asarray(m_disc, dtype=float),
-                   dense_smooth=np.asarray(matrix, dtype=float))
 
     @classmethod
     def unit(cls, n_smooth: int, n_disc: int) -> "MassSpec":
@@ -150,35 +123,24 @@ class MassSpec:
         if self.diag_smooth is not None and self.diag_smooth.shape[0] != n_smooth:
             raise ContractError(
                 f"diag_smooth has length {self.diag_smooth.shape[0]}, expected {n_smooth}")
-        if self.dense_smooth is not None and self.dense_smooth.shape[0] != n_smooth:
-            raise ContractError(
-                f"dense_smooth has order {self.dense_smooth.shape[0]}, expected {n_smooth}")
-        if self.diag_smooth is None and self.dense_smooth is None and n_smooth > 0:
+        if self.diag_smooth is None and n_smooth > 0:
             raise ContractError("mass for the smooth block is missing")
 
     def smooth_quad(self, p_smooth: np.ndarray) -> float:
         """Return p' M_I^{-1} p for the smooth block."""
         if p_smooth.shape[0] == 0:
             return 0.0
-        if self.diag_smooth is not None:
-            return float(np.dot(p_smooth, p_smooth / self.diag_smooth))
-        from scipy.linalg import cho_solve
-        return float(np.dot(p_smooth, cho_solve((self.chol_smooth, True), p_smooth)))
+        return float(np.dot(p_smooth, p_smooth / self.diag_smooth))
 
     def smooth_velocity(self, p_smooth: np.ndarray) -> np.ndarray:
         """Return M_I^{-1} p, the drift velocity of the smooth block."""
-        if self.diag_smooth is not None:
-            return p_smooth / self.diag_smooth
-        from scipy.linalg import cho_solve
-        return cho_solve((self.chol_smooth, True), p_smooth)
+        return p_smooth / self.diag_smooth
 
     def sample_smooth(self, rng: np.random.Generator, n: int) -> np.ndarray:
         z = rng.standard_normal(n)
         if n == 0:
             return z
-        if self.diag_smooth is not None:
-            return np.sqrt(self.diag_smooth) * z
-        return self.chol_smooth @ z
+        return np.sqrt(self.diag_smooth) * z
 
 
 class TargetModel:

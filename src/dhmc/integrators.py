@@ -1,14 +1,17 @@
 """Energy-exact and splitting integrators for mixed targets.
 
-Three update families live here:
+One trajectory core and one foil live here:
 
-- ``coord_step`` / ``coord_sweep``: coordinate-wise updates for Laplace
-  momenta.  A coordinate either jumps by ``eps * sign(p_j) / m_j`` while the
-  momentum pays for the change in potential, or bounces (momentum flip) when
-  the kinetic budget ``|p_j| / m_j`` does not cover the increase.  Each update
-  preserves the Hamiltonian exactly, for any potential.
 - ``dhmc_step``: one step of the split integrator, a half kick and half drift
-  of the smooth block around a full sweep of the discontinuous block.
+  of the smooth block around a full sweep of the discontinuous block.  With
+  no discontinuous block it is velocity Verlet (leapfrog); with no smooth
+  block it is the sweep alone.  Every kernel runs this step in place.
+- ``coord_sweep`` / ``coord_step``: the sweep on its own, coordinate-wise
+  updates for Laplace momenta.  A coordinate either jumps by
+  ``eps * sign(p_j) / m_j`` while the momentum pays for the change in
+  potential, or bounces (momentum flip) when the kinetic budget
+  ``|p_j| / m_j`` does not cover the increase.  Each update preserves the
+  Hamiltonian exactly, for any potential.
 - ``gaussian_event_step``: event-driven integration for Gaussian momenta on
   axis-aligned piecewise-constant potentials, refracting or reflecting at each
   cell boundary.
@@ -20,7 +23,7 @@ sizes below the smallest feature the potential should resolve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .core import ContractError, MassSpec, ModelError, PhaseState, TargetModel
 
 __all__ = [
     "StepOutcome", "SweepOrder", "coord_step", "coord_sweep", "dhmc_step",
-    "leapfrog_step", "gaussian_event_step",
+    "gaussian_event_step",
 ]
 
 
@@ -139,48 +142,64 @@ def _grad_checked(model, theta):
     return g
 
 
-def _dhmc_step_inplace(model, theta, p, smooth, mass, eps, order, m_by, minv_by):
+def _potential_checked(model, theta) -> float:
+    u = model.potential(theta)
+    if u != u:
+        raise ModelError(f"{model.name} returned NaN potential")
+    return float(u)
+
+
+def _dhmc_step_inplace(model, theta, p, smooth, mass, eps, order, m_by, minv_by,
+                       g):
     """One split-integrator step, mutating theta and p.
 
-    Returns (flips, evals, diverged, u_end) where u_end is the potential at
-    the final position when the smooth block is non-empty (None otherwise);
-    callers reuse it for the acceptance test.
+    ``g`` is the smooth-block gradient at the entry point (None without a
+    smooth block).  Returns (flips, evals, diverged, u_end, g_end): the
+    potential and the smooth-block gradient at the final position, which the
+    next step takes as its ``g`` and the acceptance test uses.  Both are None
+    without a smooth block or after a divergence.
     """
-    evals = 0
+    if not len(smooth):
+        flips, evals = _sweep_inplace(model, theta, p, order, eps, m_by, minv_by)
+        return flips, evals, False, None, None
     flips = 0
+    evals = 0
     half = 0.5 * eps
-    if len(smooth):
-        p[smooth] -= half * _grad_checked(model, theta)
-        evals += 1
-        theta[smooth] += half * mass.smooth_velocity(p[smooth])
-        u_mid = model.potential(theta)
-        evals += 1
-        if u_mid != u_mid:
-            raise ModelError(f"{model.name} returned NaN potential")
-        if u_mid == np.inf:
-            return flips, evals, True, None
+    p[smooth] -= half * g
     if len(order):
-        f, e = _sweep_inplace(model, theta, p, order, eps, m_by, minv_by)
-        flips += f
-        evals += e
-    if len(smooth):
         theta[smooth] += half * mass.smooth_velocity(p[smooth])
-        u_end = model.potential(theta)
+        # the sweep's precondition: a finite potential where it starts
+        u_mid = _potential_checked(model, theta)
         evals += 1
-        if u_end != u_end:
-            raise ModelError(f"{model.name} returned NaN potential")
-        if u_end == np.inf:
-            return flips, evals, True, None
-        p[smooth] -= half * _grad_checked(model, theta)
-        evals += 1
-        return flips, evals, False, float(u_end)
-    return flips, evals, False, None
+        if u_mid == np.inf:
+            return flips, evals, True, None, None
+        flips, e = _sweep_inplace(model, theta, p, order, eps, m_by, minv_by)
+        evals += e
+        theta[smooth] += half * mass.smooth_velocity(p[smooth])
+    else:
+        theta[smooth] += eps * mass.smooth_velocity(p[smooth])
+    u_end = _potential_checked(model, theta)
+    evals += 1
+    if u_end == np.inf:
+        return flips, evals, True, None, None
+    g_end = _grad_checked(model, theta)
+    evals += 1
+    p[smooth] -= half * g_end
+    return flips, evals, False, u_end, g_end
 
 
-def _check_step_args(model, state: PhaseState, mass: MassSpec):
+def _check_step_args(model, state: PhaseState, mass: MassSpec, eps: float,
+                     perm):
     if model.dim != state.dim:
         raise ContractError("model dimension does not match the state")
     mass.check_sizes(len(state.smooth_idx), len(state.disc_idx))
+    if eps <= 0:
+        raise ContractError("eps must be positive")
+    disc = set(int(i) for i in state.disc_idx)
+    for j in perm:
+        if int(j) not in disc:
+            raise ContractError(f"coordinate {int(j)} is not in disc_idx; "
+                                "sweep orders only visit disc_idx coordinates")
 
 
 def coord_step(model: TargetModel, state: PhaseState, j: int, eps: float,
@@ -192,18 +211,7 @@ def coord_step(model: TargetModel, state: PhaseState, j: int, eps: float,
     m_j * dU, otherwise p_j is flipped in place.  Ties bounce, sign(0) = +1,
     an infinite dU always bounces.  Precondition: potential(theta) is finite.
     """
-    _check_step_args(model, state, mass)
-    if eps <= 0:
-        raise ContractError("eps must be positive")
-    if j not in set(int(i) for i in state.disc_idx):
-        raise ContractError(f"coordinate {j} is not in disc_idx")
-    theta = state.theta.copy()
-    p = state.p.copy()
-    m_by, minv_by = _mass_lookup(mass, state.disc_idx, state.dim)
-    flips, evals = _sweep_inplace(model, theta, p, np.array([j], dtype=np.intp),
-                                  eps, m_by, minv_by)
-    out = PhaseState(theta, p, state.smooth_idx, state.disc_idx)
-    return StepOutcome(state=out, flips=flips, potential_evals=evals)
+    return coord_sweep(model, state, SweepOrder(perm=[j]), eps, mass)
 
 
 def coord_sweep(model: TargetModel, state: PhaseState, order: SweepOrder,
@@ -213,12 +221,7 @@ def coord_sweep(model: TargetModel, state: PhaseState, order: SweepOrder,
     Preserves the Hamiltonian exactly regardless of the potential, which is
     why no acceptance test is needed downstream.
     """
-    _check_step_args(model, state, mass)
-    if eps <= 0:
-        raise ContractError("eps must be positive")
-    disc = set(int(i) for i in state.disc_idx)
-    if any(int(j) not in disc for j in order.perm):
-        raise ContractError("sweep order must only visit disc_idx coordinates")
+    _check_step_args(model, state, mass, eps, order.perm)
     theta = state.theta.copy()
     p = state.p.copy()
     m_by, minv_by = _mass_lookup(mass, state.disc_idx, state.dim)
@@ -233,54 +236,27 @@ def dhmc_step(model: TargetModel, state: PhaseState, eps: float, mass: MassSpec,
 
     Half kick and half drift of the smooth block, a full coordinate sweep of
     the discontinuous block, then the mirror half drift and half kick.  With
-    an empty discontinuous block this is exactly one velocity-Verlet step;
-    with an empty smooth block it is exactly ``coord_sweep``.  A drift that
-    lands outside the support marks the outcome divergent and stops early.
+    an empty sweep the two half drifts fuse into one full drift, so the step
+    is exactly one velocity-Verlet (leapfrog) step: second-order accurate for
+    smooth potentials and silently wrong across an undeclared jump.  With an
+    empty smooth block it is exactly ``coord_sweep``.  A drift that lands
+    outside the support marks the outcome divergent and keeps the start state.
     """
-    _check_step_args(model, state, mass)
-    if eps <= 0:
-        raise ContractError("eps must be positive")
+    _check_step_args(model, state, mass, eps, order.perm)
     theta = state.theta.copy()
     p = state.p.copy()
+    smooth = state.smooth_idx
     m_by, minv_by = _mass_lookup(mass, state.disc_idx, state.dim)
-    flips, evals, diverged, _ = _dhmc_step_inplace(
-        model, theta, p, state.smooth_idx, mass, eps, order.perm, m_by, minv_by)
+    g = _grad_checked(model, theta) if len(smooth) else None
+    flips, evals, diverged, _, _ = _dhmc_step_inplace(
+        model, theta, p, smooth, mass, eps, order.perm, m_by, minv_by, g)
+    if g is not None:
+        evals += 1  # the entry gradient
     if diverged:
         return StepOutcome(state=state, flips=flips, potential_evals=evals,
                            diverged=True)
     out = PhaseState(theta, p, state.smooth_idx, state.disc_idx)
     return StepOutcome(state=out, flips=flips, potential_evals=evals)
-
-
-def leapfrog_step(model: TargetModel, state: PhaseState, eps: float,
-                  mass: MassSpec) -> StepOutcome:
-    """Classic velocity-Verlet step treating every coordinate as smooth.
-
-    Requires a model whose coordinates are all declared smooth; exact for
-    linear potentials, second-order accurate for smooth ones, and silently
-    wrong across discontinuities, which is the failure mode the
-    coordinate-wise updates exist to fix.
-    """
-    if len(state.disc_idx):
-        raise ContractError("leapfrog_step requires an all-smooth partition")
-    _check_step_args(model, state, mass)
-    if eps <= 0:
-        raise ContractError("eps must be positive")
-    theta = state.theta.copy()
-    p = state.p.copy()
-    smooth = state.smooth_idx
-    p[smooth] -= 0.5 * eps * _grad_checked(model, theta)
-    theta[smooth] += eps * mass.smooth_velocity(p[smooth])
-    u = model.potential(theta)
-    if u != u:
-        raise ModelError(f"{model.name} returned NaN potential")
-    evals = 3
-    if u == np.inf:
-        return StepOutcome(state=state, flips=0, potential_evals=evals,
-                           diverged=True)
-    p[smooth] -= 0.5 * eps * _grad_checked(model, theta)
-    out = PhaseState(theta, p, state.smooth_idx, state.disc_idx)
-    return StepOutcome(state=out, flips=0, potential_evals=evals)
 
 
 def gaussian_event_step(model, state: PhaseState, eps: float) -> StepOutcome:

@@ -9,18 +9,16 @@ Kernels
   with probability one; with a smooth block present a standard
   Metropolis-Hastings test on the energy error decides.
 - ``dhmc_coordwise``: the same kernel with every coordinate forced onto the
-  Laplace block, so only potential differences are ever needed.  One
-  integration step of it is exactly a random-scan Metropolis-within-Gibbs
-  pass, which is what the ``mwg`` kernel exposes directly.
+  Laplace block, so only potential differences are ever needed.
 - ``mwg``: random-scan Metropolis-within-Gibbs with the symmetric proposal
-  theta_j +- eps / m_j.  Implemented through the same coordinate sweep: the
-  comparison |p_j| / m_j > dU with Laplace-distributed p_j is the Metropolis
-  test with -log(uniform) realized as |p_j| / m_j.  A momentum flip is a
-  rejection.
+  theta_j +- eps / m_j.  It is ``dhmc_coordwise`` with path length 1 and its
+  own target statistic: the comparison |p_j| / m_j > dU with
+  Laplace-distributed p_j is the Metropolis test with -log(uniform) realized
+  as |p_j| / m_j.  A momentum flip is a rejection.
+- ``hmc``: ``dhmc`` on an all-smooth partition, where the split step is
+  leapfrog; smooth targets only.
 - ``rwm``: random-walk Metropolis with a Gaussian proposal of configurable
   covariance.
-- ``hmc``: leapfrog trajectories with a Metropolis correction; smooth targets
-  only.
 
 Randomness is consumed in a fixed order (stepsize, path length jitter,
 momentum, permutation, acceptance), and draws that would be degenerate are
@@ -35,10 +33,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (ConfigError, ContractError, MassSpec, ModelError,
-                   PhaseState, TargetModel, kinetic_energy, sample_momentum)
+from .core import (ConfigError, ContractError, MassSpec, PhaseState,
+                   TargetModel, kinetic_energy, sample_momentum)
 from .integrators import (SweepOrder, _dhmc_step_inplace, _grad_checked,
-                          _mass_lookup, _sweep_inplace)
+                          _mass_lookup, _potential_checked)
 from .tuning import TuneState, adapt_stepsize, mass_from_state
 
 __all__ = ["SamplerConfig", "KernelTrace", "SampleStore", "KERNELS",
@@ -165,7 +163,15 @@ def _draw_path_len(rng: np.random.Generator, lo: int, hi: int) -> int:
 
 
 def _dhmc_move(model, state, rng, eps_range, path_range, mass, u_current):
-    """One dhmc transition; returns (state, trace, cached potential)."""
+    """One transition of the trajectory core; returns (state, trace, cached
+    potential).
+
+    Every kernel but ``rwm`` is this move: ``hmc`` on an all-smooth
+    partition, ``mwg`` with path range (1, 1) on an all-discontinuous one.
+    With an empty smooth block the energy is conserved exactly, so the
+    proposal is accepted with probability one and no potential value is
+    needed; the cached potential is then None.
+    """
     eps = _draw_eps(rng, eps_range)
     L = _draw_path_len(rng, *path_range)
     smooth = state.smooth_idx
@@ -178,30 +184,17 @@ def _dhmc_move(model, state, rng, eps_range, path_range, mass, u_current):
     flips = 0
     evals = 0
     updates = L * len(disc)
-
-    if len(smooth) == 0:
-        # Energy is conserved exactly, so the proposal is accepted with
-        # probability one and no potential value is ever needed.
-        for _ in range(L):
-            f, e = _sweep_inplace(model, theta, pv, order.perm, eps, m_by, minv_by)
-            flips += f
-            evals += e
-        new = PhaseState(theta, pv, smooth, disc)
-        trace = KernelTrace(accepted=True, delta_H=0.0, flips=flips,
-                            potential_evals=evals, eps_used=eps,
-                            coord_updates=updates, path_len_used=L)
-        return new, trace, u_current
-
-    if u_current is None:
-        u_current = float(model.potential(state.theta))
+    g = None
+    if len(smooth):
+        if u_current is None:
+            u_current = _potential_checked(model, state.theta)
+            evals += 1
+        k0 = kinetic_energy(p, mass, smooth, disc)
+        g = _grad_checked(model, theta)
         evals += 1
-        if u_current != u_current:
-            raise ModelError(f"{model.name} returned NaN potential")
-    k0 = kinetic_energy(p, mass, smooth, disc)
-    u_end = None
     for _ in range(L):
-        f, e, diverged, u_end = _dhmc_step_inplace(
-            model, theta, pv, smooth, mass, eps, order.perm, m_by, minv_by)
+        f, e, diverged, u_end, g = _dhmc_step_inplace(
+            model, theta, pv, smooth, mass, eps, order.perm, m_by, minv_by, g)
         flips += f
         evals += e
         if diverged:
@@ -210,40 +203,18 @@ def _dhmc_move(model, state, rng, eps_range, path_range, mass, u_current):
                                 coord_updates=updates, path_len_used=L,
                                 diverged=True)
             return state, trace, u_current
-    k1 = kinetic_energy(pv, mass, smooth, disc)
-    delta_h = (u_end + k1) - (u_current + k0)
-    if np.log(rng.uniform()) < -delta_h:
-        new = PhaseState(theta, pv, smooth, disc)
-        trace = KernelTrace(accepted=True, delta_H=float(delta_h), flips=flips,
-                            potential_evals=evals, eps_used=eps,
-                            coord_updates=updates, path_len_used=L)
-        return new, trace, u_end
-    trace = KernelTrace(accepted=False, delta_H=float(delta_h), flips=flips,
+    delta_h = 0.0
+    accepted = True
+    if len(smooth):
+        k1 = kinetic_energy(pv, mass, smooth, disc)
+        delta_h = float((u_end + k1) - (u_current + k0))
+        accepted = bool(np.log(rng.uniform()) < -delta_h)
+    trace = KernelTrace(accepted=accepted, delta_H=delta_h, flips=flips,
                         potential_evals=evals, eps_used=eps,
                         coord_updates=updates, path_len_used=L)
+    if accepted:
+        return PhaseState(theta, pv, smooth, disc), trace, u_end
     return state, trace, u_current
-
-
-def _mwg_move(model, state, rng, eps_range, mass):
-    """One random-scan Metropolis-within-Gibbs pass over all coordinates.
-
-    The coordinate sweep already performs the Metropolis test: with p_j drawn
-    Laplace(m_j), the quantity |p_j|/m_j is Exp(1) and the move condition
-    |p_j|/m_j > dU accepts with probability min(1, exp(-dU)).
-    """
-    eps = _draw_eps(rng, eps_range)
-    disc = state.disc_idx
-    p = sample_momentum(rng, mass, state.smooth_idx, disc)
-    order = SweepOrder.draw(rng, disc)
-    theta = state.theta.copy()
-    pv = p.copy()
-    m_by, minv_by = _mass_lookup(mass, disc, state.dim)
-    rejects, evals = _sweep_inplace(model, theta, pv, order.perm, eps, m_by, minv_by)
-    new = PhaseState(theta, pv, state.smooth_idx, disc)
-    trace = KernelTrace(accepted=True, delta_H=0.0, flips=rejects,
-                        potential_evals=evals, eps_used=eps,
-                        coord_updates=len(disc), path_len_used=1)
-    return new, trace
 
 
 def _proposal_factor(rwm_cov, dim):
@@ -275,63 +246,15 @@ def _rwm_move(model, state, rng, eps_range, factor, u_current):
     prop = state.theta + step
     evals = 0
     if u_current is None:
-        u_current = float(model.potential(state.theta))
+        u_current = _potential_checked(model, state.theta)
         evals += 1
-        if u_current != u_current:
-            raise ModelError(f"{model.name} returned NaN potential")
-    u_prop = float(model.potential(prop))
+    u_prop = _potential_checked(model, prop)
     evals += 1
-    if u_prop != u_prop:
-        raise ModelError(f"{model.name} returned NaN potential")
     delta = u_prop - u_current
     if np.log(rng.uniform()) < -delta:
         new = PhaseState(prop, state.p, state.smooth_idx, state.disc_idx)
         return new, KernelTrace(True, float(delta), 0, evals, eps), u_prop
     return state, KernelTrace(False, float(delta), 0, evals, eps), u_current
-
-
-def _hmc_move(model, state, rng, eps_range, path_range, mass, u_current):
-    """Leapfrog trajectory with the boundary gradient shared between steps."""
-    eps = _draw_eps(rng, eps_range)
-    L = _draw_path_len(rng, *path_range)
-    smooth = state.smooth_idx
-    p = sample_momentum(rng, mass, smooth, state.disc_idx)
-    theta = state.theta.copy()
-    pv = p.copy()
-    evals = 0
-    if u_current is None:
-        u_current = float(model.potential(state.theta))
-        evals += 1
-        if u_current != u_current:
-            raise ModelError(f"{model.name} returned NaN potential")
-    k0 = kinetic_energy(p, mass, smooth, state.disc_idx)
-    g = _grad_checked(model, theta)
-    evals += 1
-    u_end = None
-    for _ in range(L):
-        pv[smooth] -= 0.5 * eps * g
-        theta[smooth] += eps * mass.smooth_velocity(pv[smooth])
-        u = float(model.potential(theta))
-        evals += 1
-        if u != u:
-            raise ModelError(f"{model.name} returned NaN potential")
-        if u == np.inf:
-            trace = KernelTrace(accepted=False, delta_H=np.inf, flips=0,
-                                potential_evals=evals, eps_used=eps,
-                                path_len_used=L, diverged=True)
-            return state, trace, u_current
-        g = _grad_checked(model, theta)
-        evals += 1
-        pv[smooth] -= 0.5 * eps * g
-        u_end = u
-    k1 = kinetic_energy(pv, mass, smooth, state.disc_idx)
-    delta_h = (u_end + k1) - (u_current + k0)
-    if np.log(rng.uniform()) < -delta_h:
-        new = PhaseState(theta, pv, smooth, state.disc_idx)
-        trace = KernelTrace(True, float(delta_h), 0, evals, eps, path_len_used=L)
-        return new, trace, u_end
-    trace = KernelTrace(False, float(delta_h), 0, evals, eps, path_len_used=L)
-    return state, trace, u_current
 
 
 def _require_eps_range(cfg: SamplerConfig):
@@ -379,7 +302,8 @@ def mwg_transition(model: TargetModel, state: PhaseState, cfg: SamplerConfig,
         raise ContractError("mwg_transition requires an all-discontinuous partition")
     eps_range = _require_eps_range(cfg)
     mass = _mass_or_unit(cfg, state)
-    return _mwg_move(model, state, rng, eps_range, mass)
+    new, trace, _ = _dhmc_move(model, state, rng, eps_range, (1, 1), mass, None)
+    return new, trace
 
 
 def rwm_transition(model: TargetModel, state: PhaseState, cfg: SamplerConfig,
@@ -397,14 +321,14 @@ def rwm_transition(model: TargetModel, state: PhaseState, cfg: SamplerConfig,
 
 def hmc_transition(model: TargetModel, state: PhaseState, cfg: SamplerConfig,
                    rng: np.random.Generator):
-    """One leapfrog-trajectory transition; smooth targets only."""
+    """One leapfrog-trajectory transition; smooth targets only.
+
+    On an all-smooth partition the split step is leapfrog, so this is
+    ``dhmc_transition`` after the partition check.
+    """
     if len(state.disc_idx):
         raise ContractError("hmc_transition requires an all-smooth partition")
-    eps_range = _require_eps_range(cfg)
-    mass = _mass_or_unit(cfg, state)
-    new, trace, _ = _hmc_move(model, state, rng, eps_range,
-                              cfg.path_len_range(), mass, None)
-    return new, trace
+    return dhmc_transition(model, state, cfg, rng)
 
 
 @dataclass
@@ -550,7 +474,7 @@ def run_chain(model: TargetModel, init, cfg: SamplerConfig,
     ts = TuneState(log_eps=math.log(eps0), target_stat=cfg.resolved_target())
 
     warnings = []
-    path_range = cfg.path_len_range()
+    path_range = (1, 1) if cfg.kernel == "mwg" else cfg.path_len_range()
     u_cur = u0
     warmup_evals = 1  # the initial-point check above
     warmup_div = 0
@@ -559,14 +483,9 @@ def run_chain(model: TargetModel, init, cfg: SamplerConfig,
         tune_mass = False  # an explicit proposal covariance is kept as given
 
     def move(st, eps_range, cur_mass, cur_factor, u_in):
-        if cfg.kernel in ("dhmc", "dhmc_coordwise"):
-            return _dhmc_move(model, st, rng, eps_range, path_range, cur_mass, u_in)
-        if cfg.kernel == "mwg":
-            new, tr = _mwg_move(model, st, rng, eps_range, cur_mass)
-            return new, tr, u_in
         if cfg.kernel == "rwm":
             return _rwm_move(model, st, rng, eps_range, cur_factor, u_in)
-        return _hmc_move(model, st, rng, eps_range, path_range, cur_mass, u_in)
+        return _dhmc_move(model, st, rng, eps_range, path_range, cur_mass, u_in)
 
     for i in range(cfg.n_warmup):
         eps_range = (ts.eps, ts.eps) if tune_eps else cfg.eps_range

@@ -16,8 +16,7 @@ import numpy as np
 
 from .core import ContractError, MassSpec
 
-__all__ = ["TuneState", "flip_statistic", "adapt_stepsize", "estimate_mass",
-           "mass_from_state"]
+__all__ = ["TuneState", "flip_statistic", "adapt_stepsize", "mass_from_state"]
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,21 @@ def adapt_stepsize(ts: TuneState, observed_stat: float) -> TuneState:
                    log_eps=ts.log_eps + gain * (observed_stat - ts.target_stat))
 
 
-def _masses_from_variances(var, smooth_idx, disc_idx, floor=1e-8):
+def mass_from_state(ts: TuneState, smooth_idx, disc_idx, floor=1e-8):
+    """Diagonal masses from a TuneState's streaming moments: 1/var for the
+    smooth block, 1/sd for the Laplace block, floored at 1e-8.
+
+    Returns (MassSpec, warnings); constant coordinates fall back to mass 1
+    with a warning entry instead of failing.
+    """
+    if ts.count < 10:
+        raise ContractError("need at least 10 observed draws")
+    smooth_idx = np.asarray(smooth_idx, dtype=np.intp)
+    disc_idx = np.asarray(disc_idx, dtype=np.intp)
+    var = ts.variances()
+    if var.shape != (len(smooth_idx) + len(disc_idx),):
+        raise ContractError("partition does not match the observed draw length")
     warnings = []
-    var = np.asarray(var, dtype=float)
     diag = np.empty(len(smooth_idx))
     for pos, i in enumerate(smooth_idx):
         if var[i] <= 0.0:
@@ -115,27 +126,3 @@ def _masses_from_variances(var, smooth_idx, disc_idx, floor=1e-8):
     mass = MassSpec(m_disc=m_disc,
                     diag_smooth=diag if len(smooth_idx) else None)
     return mass, warnings
-
-
-def estimate_mass(draws, smooth_idx, disc_idx):
-    """Diagonal masses from warmup draws: 1/var for the smooth block,
-    1/sd for the Laplace block, floored at 1e-8.
-
-    Returns (MassSpec, warnings); constant coordinates fall back to mass 1
-    with a warning entry instead of failing.
-    """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2 or draws.shape[0] < 10:
-        raise ContractError("need at least 10 warmup draws")
-    var = draws.var(axis=0, ddof=1)
-    return _masses_from_variances(var, np.asarray(smooth_idx, dtype=np.intp),
-                                  np.asarray(disc_idx, dtype=np.intp))
-
-
-def mass_from_state(ts: TuneState, smooth_idx, disc_idx):
-    """Same as estimate_mass but fed from a TuneState's streaming moments."""
-    if ts.count < 10:
-        raise ContractError("need at least 10 observed draws")
-    return _masses_from_variances(ts.variances(),
-                                  np.asarray(smooth_idx, dtype=np.intp),
-                                  np.asarray(disc_idx, dtype=np.intp))

@@ -10,8 +10,6 @@ from dhmc.models import GaussianTarget
 
 from conftest import FlatTarget
 
-_EMPTY = np.array([], dtype=np.intp)
-
 
 # ---------------------------------------------------------------- PhaseState
 
@@ -63,15 +61,6 @@ def test_mass_validation():
         MassSpec(m_disc=np.array([np.inf]))
     with pytest.raises(ContractError):
         MassSpec(m_disc=np.array([1.0]), diag_smooth=np.array([0.0]))
-    with pytest.raises(ContractError):
-        MassSpec(m_disc=_EMPTY.astype(float), diag_smooth=np.ones(1),
-                 dense_smooth=np.eye(1))
-    with pytest.raises(ContractError):
-        MassSpec(m_disc=np.ones(1), dense_smooth=np.array([[1.0, 2.0]]))
-    with pytest.raises(ContractError):
-        MassSpec(m_disc=np.ones(1), dense_smooth=np.array([[1.0, 0.5], [0.4, 1.0]]))
-    with pytest.raises(ContractError):
-        MassSpec.dense([[1.0, 2.0], [2.0, 1.0]], m_disc=[])  # not PD
 
 
 def test_check_sizes_messages():
@@ -89,18 +78,6 @@ def test_unit_mass():
     mass = MassSpec.unit(2, 3)
     np.testing.assert_array_equal(mass.diag_smooth, np.ones(2))
     np.testing.assert_array_equal(mass.m_disc, np.ones(3))
-
-
-def test_dense_mass_solves():
-    m = np.array([[2.0, 0.5], [0.5, 1.0]])
-    mass = MassSpec.dense(m, m_disc=[])
-    np.testing.assert_allclose(mass.chol_smooth @ mass.chol_smooth.T, m,
-                               atol=1e-12)
-    p = np.array([0.3, -1.2])
-    np.testing.assert_allclose(mass.smooth_quad(p), p @ np.linalg.solve(m, p),
-                               rtol=1e-12)
-    np.testing.assert_allclose(mass.smooth_velocity(p), np.linalg.solve(m, p),
-                               rtol=1e-12)
 
 
 # ------------------------------------------------------------ kinetic energy
@@ -234,11 +211,3 @@ def test_momentum_gaussian_variances():
     p = sample_momentum(np.random.default_rng(21), mass, np.arange(n), [])
     assert abs(p[0::2].var() / 4.0 - 1.0) < 0.03
     assert abs(p[1::2].var() / 9.0 - 1.0) < 0.03
-
-
-def test_momentum_dense_mass_covariance():
-    m = np.array([[2.0, 0.8], [0.8, 1.0]])
-    mass = MassSpec.dense(m, m_disc=[])
-    rng = np.random.default_rng(31)
-    draws = np.array([sample_momentum(rng, mass, [0, 1], []) for _ in range(20000)])
-    np.testing.assert_allclose(np.cov(draws.T), m, rtol=0.08)

@@ -1,11 +1,12 @@
-"""Coordinate-wise, split, leapfrog, and event-driven integrators."""
+"""Coordinate-wise, split (leapfrog with an empty sweep), and event-driven
+integrators."""
 
 import numpy as np
 import pytest
 
 from dhmc import (ContractError, MassSpec, ModelError, PhaseState, SweepOrder,
                   coord_step, coord_sweep, dhmc_step, gaussian_event_step,
-                  hamiltonian, kinetic_energy, leapfrog_step)
+                  hamiltonian, kinetic_energy)
 from dhmc.embedding import EmbeddingMap
 from dhmc.models import BananaTarget, GaussianTarget, GridTarget
 
@@ -19,6 +20,11 @@ _UNIT1 = MassSpec(m_disc=np.ones(1))
 
 def _order(*idx):
     return SweepOrder(np.array(idx, dtype=np.intp))
+
+
+def leapfrog_step(model, state, eps, mass):
+    """The split step with an empty sweep: one velocity-Verlet step."""
+    return dhmc_step(model, state, eps, mass, SweepOrder(_EMPTY))
 
 
 # ---------------------------------------------------------------- coord_step
@@ -252,10 +258,13 @@ def test_dhmc_step_pure_smooth_is_velocity_verlet():
     h0 = hamiltonian(model, st, mass).hamiltonian
     h1 = hamiltonian(model, out.state, mass).hamiltonian
     assert abs(h1 - h0) <= 1e-4
-    # kick-drift-drift-kick with no sweep in between: matches leapfrog.
-    lf = leapfrog_step(model, st, 0.1, mass)
-    np.testing.assert_allclose(out.state.theta, lf.state.theta, atol=1e-14)
-    np.testing.assert_allclose(out.state.p, lf.state.p, atol=1e-14)
+    # no sweep in between: kick, one full drift, kick, bit for bit.
+    p = st.p - 0.05 * model.grad_smooth(st.theta)
+    theta = st.theta + 0.1 * p
+    p = p - 0.05 * model.grad_smooth(theta)
+    np.testing.assert_array_equal(out.state.theta, theta)
+    np.testing.assert_array_equal(out.state.p, p)
+    assert out.potential_evals == 3
 
 
 def test_dhmc_step_smooth_local_error_order():
@@ -316,7 +325,7 @@ def test_dhmc_step_divergence_keeps_start_state():
     np.testing.assert_array_equal(out.state.p, st.p)
 
 
-# ------------------------------------------------------------- leapfrog_step
+# ------------------------------- leapfrog: dhmc_step with an empty sweep
 
 
 def test_leapfrog_harmonic_energy_drift():
@@ -384,9 +393,9 @@ def test_leapfrog_divergence_and_partition_check():
     out = leapfrog_step(model, all_smooth_state([1.9], [5.0]), 0.5, mass)
     assert out.diverged
     np.testing.assert_array_equal(out.state.theta, [1.9])
-    with pytest.raises(ContractError):
-        leapfrog_step(FlatTarget(dim=1), all_disc_state([0.0], [1.0]), 0.1,
-                      _UNIT1)
+    # a sweep order may only visit discontinuous coordinates
+    with pytest.raises(ContractError, match="not in disc_idx"):
+        dhmc_step(model, all_smooth_state([1.0], [1.0]), 0.1, mass, _order(0))
 
 
 def test_leapfrog_eval_count():

@@ -10,8 +10,8 @@ import pytest
 from scipy import stats as sps
 
 from dhmc import (ConfigError, ContractError, MassSpec, PhaseState,
-                  SamplerConfig, dhmc_transition, hmc_transition,
-                  mwg_transition, run_chain, rwm_transition)
+                  SamplerConfig, TargetModel, dhmc_transition, hmc_transition,
+                  mwg_transition, run_chain, rwm_transition, samplers)
 from dhmc.embedding import EmbeddingMap
 from dhmc.models import BananaTarget, BinomialNTarget, GaussianTarget, GridTarget
 
@@ -414,3 +414,108 @@ def test_store_decodes_embedded_columns():
     np.testing.assert_array_equal(store.decoded_draws()[:, 0], store.column(0))
     assert store.n_samples == 40 and store.dim == 2
     assert store.seed == 6
+
+
+# ------------------------------------------------------- the trajectory core
+
+
+class Counted(TargetModel):
+    """Delegating wrapper that counts model calls by kind."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.name = inner.name
+        self.embeddings = inner.embeddings
+        self.calls = {"potential": 0, "potential_diff": 0, "grad_smooth": 0}
+        if inner.potential_diff is not None:
+            self.potential_diff = self._diff
+
+    @property
+    def smooth_idx(self):
+        return self.inner.smooth_idx
+
+    @property
+    def disc_idx(self):
+        return self.inner.disc_idx
+
+    def initial_theta(self, rng):
+        return self.inner.initial_theta(rng)
+
+    def potential(self, theta):
+        self.calls["potential"] += 1
+        return self.inner.potential(theta)
+
+    def grad_smooth(self, theta):
+        self.calls["grad_smooth"] += 1
+        return self.inner.grad_smooth(theta)
+
+    def _diff(self, theta, j, value):
+        self.calls["potential_diff"] += 1
+        return self.inner.potential_diff(theta, j, value)
+
+
+_CORE_TARGETS = {"mixed": CoupledMix, "smooth": lambda: GaussianTarget(dim=2),
+                 "disc": three_state}
+
+
+@pytest.mark.parametrize("target", sorted(_CORE_TARGETS))
+def test_eval_counters_match_model_calls(target):
+    for kernel in ("dhmc", "dhmc_coordwise", "hmc", "mwg", "rwm"):
+        model = Counted(_CORE_TARGETS[target]())
+        if kernel == "hmc" and len(model.disc_idx):
+            continue
+        cfg = SamplerConfig(kernel=kernel, path_len=4, n_warmup=40,
+                            n_samples=40, seed=17)
+        store = run_chain(model, None, cfg)
+        assert sum(model.calls.values()) == \
+            store.potential_evals + store.warmup_evals, (kernel, model.calls)
+
+
+def test_split_step_carries_its_closing_gradient():
+    # one gradient per step plus the opening one of each trajectory
+    model = Counted(CoupledMix())
+    cfg = SamplerConfig(kernel="dhmc", eps_range=(0.3, 0.6), path_len=(2, 5),
+                        n_warmup=0, n_samples=60, tune_eps=False,
+                        tune_mass=False, seed=23)
+    store = run_chain(model, None, cfg)
+    assert store.divergences == 0
+    steps = sum(t.path_len_used for t in store.traces)
+    assert model.calls["grad_smooth"] == steps + cfg.n_samples
+
+
+def test_dhmc_on_an_all_smooth_target_is_hmc():
+    g = GaussianTarget(dim=3, sd=(1.0, 2.0, 0.5))
+    stores = [run_chain(g, None, SamplerConfig(kernel=k, path_len=5,
+                                               n_warmup=60, n_samples=80,
+                                               seed=29))
+              for k in ("dhmc", "hmc")]
+    np.testing.assert_array_equal(stores[0].draws, stores[1].draws)
+    assert stores[0].potential_evals == stores[1].potential_evals
+    assert [t.delta_H for t in stores[0].traces] == \
+        [t.delta_H for t in stores[1].traces]
+
+
+@pytest.mark.parametrize("kernel,target", [
+    ("dhmc", CoupledMix), ("dhmc_coordwise", CoupledMix), ("mwg", three_state),
+    ("hmc", lambda: GaussianTarget(dim=2)), ("rwm", CoupledMix)])
+def test_cached_potential_is_none_or_exact(kernel, target, monkeypatch):
+    model = target()
+    seen = []
+
+    def checked(move):
+        def wrapped(*args):
+            new, trace, u = move(*args)
+            if u is not None:
+                ref = model.potential(new.theta)
+                assert abs(u - ref) <= 1e-12 * max(1.0, abs(ref))
+            seen.append(u)
+            return new, trace, u
+        return wrapped
+
+    for name in ("_dhmc_move", "_rwm_move"):
+        monkeypatch.setattr(samplers, name, checked(getattr(samplers, name)))
+    cfg = SamplerConfig(kernel=kernel, path_len=3, n_warmup=30, n_samples=60,
+                        seed=31)
+    run_chain(model, None, cfg)
+    assert len(seen) == 90
