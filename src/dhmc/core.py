@@ -155,7 +155,9 @@ class TargetModel:
       smooth block, only queried where the potential is finite,
     - optionally ``potential_diff(theta, j, value) -> float``: the change in
       potential when coordinate j moves to ``value``, cheaper than two full
-      potential calls and equal to them up to rounding.
+      potential calls and equal to them up to rounding.  It must be a pure
+      function of its arguments: it leaves ``theta`` unchanged and keeps no
+      state between calls.
 
     ``embeddings`` maps a coordinate index to the EmbeddingMap that decodes it
     back to an integer; coordinates absent from the dict are genuinely

@@ -92,7 +92,7 @@ class EmbeddingMap:
         if not x > knots[0] or x > knots[-1]:
             raise OutOfSupportError(
                 f"{x!r} outside the embedded support ({knots[0]}, {knots[-1]}]")
-        return int(np.searchsorted(knots, x, side="left")) - 1
+        return int(knots.searchsorted(x)) - 1
 
     def lookup(self, x: float) -> int:
         """Integer value of the cell containing x (cells are right-closed)."""

@@ -7,6 +7,11 @@ tau_0 = 1 and tau_{K+1} = T.  Levels are parameterised by log a_0, log b_0
 with Normal(0, (sigma eta_k)^2) priors; eta_k and sigma are half-Cauchy,
 sampled on the log scale with their Jacobians.  The change points tau_k are
 embedded integers, uniform over 1 < tau_1 < ... < tau_K < T.
+
+``potential_diff`` of a change point costs O(|Delta tau|): only the
+likelihood terms of the times that switch between the two segments next to
+tau_k change, and it decodes just tau_k and its two neighbours.  Moves of
+the continuous coordinates fall back to two full potential evaluations.
 """
 
 from __future__ import annotations
@@ -150,6 +155,42 @@ class ArchChangePointTarget(TargetModel):
             pot += np.sum(_half_cauchy_log_terms(leb))
         pot += _half_cauchy_log_terms(lsa) + _half_cauchy_log_terms(lsb)
         return float(pot)
+
+    def potential_diff(self, theta, j, value):
+        k = j - self._n_smooth
+        if k < 0:
+            moved = theta.copy()
+            moved[j] = value
+            return self.potential(moved) - self.potential(theta)
+        tau_map = self.tau_map
+        if not tau_map.contains(value):
+            return float("inf")
+        old = tau_map.lookup(theta[j])
+        new = tau_map.lookup(value)
+        if new == old:
+            return 0.0
+        left = tau_map.lookup(theta[j - 1]) if k > 0 else 1
+        right = tau_map.lookup(theta[j + 1]) if k < self.k_max - 1 else self.T
+        if not left < new < right:
+            return float("inf")
+        # The times t in (lo, hi] switch between the 0-based segments k and
+        # k+1 of ``_segments``: into k when the change point moves up, into
+        # k+1 when it moves down.  No other likelihood or prior term moves.
+        K = self.k_max
+        la = theta[0] + theta[2:2 + k].sum()
+        lb = theta[1] + theta[2 + K:2 + K + k].sum()
+        a_k, a_next = np.exp((la, la + theta[2 + k]))
+        b_k, b_next = np.exp((lb, lb + theta[2 + K + k]))
+        lo, hi = min(old, new), max(old, new)
+        ylag2 = self._ylag2[lo - 1:hi - 1]
+        ysq = self._ysq[lo - 1:hi - 1]
+        s_k = a_k + b_k * ylag2
+        s_next = a_next + b_next * ylag2
+        s_old, s_new = (s_next, s_k) if new > old else (s_k, s_next)
+        if np.any(s_new <= 0.0):
+            return float("inf")
+        return float(0.5 * (np.log(s_new / s_old)
+                            + ysq / s_new - ysq / s_old).sum())
 
     def grad_smooth(self, theta):
         la0, lb0, da, db, lea, leb, lsa, lsb, taut = self._split(theta)

@@ -13,9 +13,10 @@ seen again.  The prior on the U chain is the floored Normal
 U_{i+1} | U_i ~ floor(N(U_i - u_i, sigma_b^2 + phi_i(1 - phi_i))), evaluated
 as the exact Normal interval mass on [n, n+1), plus pi(U_1) ~ 1/U_1.
 
-``potential_diff`` is O(1) for the embedded U coordinates; moves of the
-continuous coordinates fall back to two full potential evaluations
-internally.
+``potential_diff`` is O(1) for the embedded U coordinates: it decodes only
+the moved count and its two neighbours in the chain, the only other counts
+its terms read.  Moves of the continuous coordinates fall back to two full
+potential evaluations internally.
 """
 
 from __future__ import annotations
@@ -241,8 +242,17 @@ class JollySeberTarget(TargetModel):
         g[T:] = phi * (1.0 - phi) * du_dphi + (2.0 * phi - 1.0)
         return g
 
-    def _u_local_terms(self, i, cell, lp, lphi, uvals):
-        """Terms of the potential that involve U_{i+1} (0-based i)."""
+    def _u_value(self, theta, i):
+        """Decoded U_{i+1} (0-based i) of an in-support theta."""
+        emap = self.emaps[i]
+        return float(emap.values[emap.cell_of(theta[2 * self.T - 1 + i])])
+
+    def _u_local_terms(self, i, cell, lp, lphi, u_prev, u_next):
+        """Terms of the potential that involve U_{i+1} (0-based i).
+
+        ``u_prev`` and ``u_next`` are the decoded neighbours U_i and U_{i+2}
+        (None past either end of the chain).
+        """
         st = self.stats
         emap = self.emaps[i]
         Ui = float(emap.values[cell])
@@ -255,11 +265,11 @@ class JollySeberTarget(TargetModel):
         if i > 0:
             phi = expit(lphi[i - 1])
             s = math.sqrt(self.sigma_b ** 2 + phi * (1.0 - phi))
-            pot -= _interval_normal_logmass(Ui, uvals[i - 1] - st.u[i - 1], s)
+            pot -= _interval_normal_logmass(Ui, u_prev - st.u[i - 1], s)
         if i < self.T - 1:
             phi = expit(lphi[i])
             s = math.sqrt(self.sigma_b ** 2 + phi * (1.0 - phi))
-            pot -= _interval_normal_logmass(uvals[i + 1], Ui - st.u[i], s)
+            pot -= _interval_normal_logmass(u_next, Ui - st.u[i], s)
         return float(pot)
 
     def potential_diff(self, theta, j, value):
@@ -276,11 +286,11 @@ class JollySeberTarget(TargetModel):
         cell1 = emap.cell_of(value)
         if cell0 == cell1:
             return 0.0
-        lp, lphi, ut = self._split(theta)
-        _, uvals = self._decode_u(ut)
-        before = self._u_local_terms(i, cell0, lp, lphi, uvals)
-        uvals[i] = emap.values[cell1]
-        after = self._u_local_terms(i, cell1, lp, lphi, uvals)
+        lp, lphi, _ = self._split(theta)
+        u_prev = self._u_value(theta, i - 1) if i > 0 else None
+        u_next = self._u_value(theta, i + 1) if i < self.T - 1 else None
+        before = self._u_local_terms(i, cell0, lp, lphi, u_prev, u_next)
+        after = self._u_local_terms(i, cell1, lp, lphi, u_prev, u_next)
         return after - before
 
     def initial_theta(self, rng):

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dhmc import EmbeddingMap, PhaseState, TargetModel
+from dhmc.models import build_model
 
 _EMPTY = np.array([], dtype=np.intp)
 
@@ -236,6 +237,18 @@ def all_smooth_state(theta, p):
     theta = np.asarray(theta, dtype=float)
     return PhaseState(theta, np.asarray(p, dtype=float),
                       np.arange(len(theta), dtype=np.intp), _EMPTY)
+
+
+def small_jolly_seber():
+    """A four-occasion capture-recapture posterior (11 coordinates)."""
+    return build_model("jolly_seber", {"u1": 60, "p": [0.5] * 4,
+                                       "phi": [0.8] * 3, "n_max": 400},
+                       synth_seed=3)
+
+
+def small_arch_cp():
+    """A change-point model on 40 returns with two change points."""
+    return build_model("arch_cp", {"T": 40, "k_max": 2}, synth_seed=3)
 
 
 def fd_grad(f, x, h=1e-6):

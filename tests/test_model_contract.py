@@ -1,0 +1,262 @@
+"""The TargetModel contract, checked on every bundled model.
+
+- ``potential_diff`` agrees with ``potential(new) - potential(old)`` at every
+  update of real ``dhmc`` and ``dhmc_coordwise`` chains, and at hand-built
+  support edges;
+- ``potential_diff`` is a pure function of its arguments;
+- ``grad_smooth`` matches central finite differences;
+- a proposed value off the support gives ``+inf`` from both the
+  ``potential`` and the ``potential_diff`` path, never an exception or NaN.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dhmc import SamplerConfig, run_chain
+from dhmc.embedding import EmbeddingMap
+from dhmc.models import GridTarget, build_model
+
+from conftest import fd_grad, small_arch_cp, small_jolly_seber
+
+
+def _grid():
+    # a 3 x 4 table with one zero-mass cell, one axis on log knots
+    log_mass = np.log(np.arange(1.0, 13.0)).reshape(3, 4)
+    log_mass[2, 1] = -np.inf
+    return GridTarget([EmbeddingMap.uniform(0, 2), EmbeddingMap.logarithmic(1, 4)],
+                      log_mass)
+
+
+MODELS = {
+    "gaussian": lambda: build_model("gaussian", {"dim": 3, "mean": 0.5,
+                                                 "sd": [1.0, 2.0, 0.5]}),
+    "pmf": lambda: build_model("pmf"),
+    "grid": _grid,
+    "banana": lambda: build_model("banana"),
+    "binomial_n": lambda: build_model("binomial_n", {"n_max": 30}),
+    "ar1": lambda: build_model("ar1", {"dim": 6}),
+    "gen_bayes": lambda: build_model("gen_bayes", {"n": 40, "k": 5},
+                                     synth_seed=1),
+    "jolly_seber": small_jolly_seber,
+    "arch_cp": small_arch_cp,
+}
+WITH_DIFF = [n for n, make in MODELS.items() if make().potential_diff is not None]
+WITH_SMOOTH = [n for n, make in MODELS.items() if len(make().smooth_idx)]
+
+
+def assert_diff_matches(model, theta, j, value, got):
+    """``got`` equals the two-potential reference, ``+inf`` exactly when it is."""
+    old = model.potential(theta)
+    assert math.isfinite(old)
+    moved = theta.copy()
+    moved[j] = value
+    new = model.potential(moved)
+    want = new - old
+    if want == math.inf:
+        assert got == math.inf, (j, value, got)
+    else:
+        assert math.isfinite(got), (j, value, got, want)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(old), abs(new)), \
+            (j, value, got, want)
+
+
+def _walk(model, kernel, seed, n_warmup=30, n_samples=60):
+    cfg = SamplerConfig(kernel=kernel, path_len=8, n_warmup=n_warmup,
+                        n_samples=n_samples, seed=seed)
+    return run_chain(model, None, cfg)
+
+
+# ------------------------------------------------- diffs along trajectories
+
+
+@pytest.mark.parametrize("name", WITH_DIFF)
+def test_potential_diff_agrees_along_trajectories(name):
+    checked = 0
+    for kernel in ("dhmc", "dhmc_coordwise"):
+        model = MODELS[name]()
+        diff = model.potential_diff
+
+        def checked_diff(theta, j, value):
+            nonlocal checked
+            got = diff(theta, j, value)
+            assert_diff_matches(model, theta, j, value, got)
+            checked += 1
+            return got
+
+        model.potential_diff = checked_diff
+        _walk(model, kernel, seed=13)
+    assert checked >= 1000
+
+
+def _arch_at(model, taus):
+    theta = model.initial_theta(np.random.default_rng(2))
+    for k, tau in enumerate(taus):
+        theta[model._n_smooth + k] = model.tau_map.embed_center(tau)
+    assert math.isfinite(model.potential(theta))
+    return theta
+
+
+def test_arch_cp_diff_at_support_edges():
+    model = MODELS["arch_cp"]()
+    T, first = model.T, model._n_smooth
+    knots = model.tau_map.knots
+
+    theta = _arch_at(model, [2, T - 1])
+    cases = [
+        (first, knots[0] - 0.5, math.inf),      # tau_1 below 2
+        (first, knots[0], math.inf),            # the left knot is open
+        (first, theta[first] + 1.0, None),      # 2 -> 3
+        (first + 1, knots[-1] + 0.5, math.inf),  # tau_2 past T - 1
+        (first + 1, knots[-1], 0.0),            # right knot closes cell T - 1
+        (first + 1, theta[first + 1] - 1.0, None),  # T - 1 -> T - 2
+        (first, theta[first] + 30.0, None),     # a long move: 2 -> 32
+    ]
+    theta_nb = _arch_at(model, [10, 11])
+    cases_nb = [
+        (first, theta_nb[first] + 1.0, math.inf),      # onto tau_2
+        (first, theta_nb[first] + 5.0, math.inf),      # past tau_2
+        (first + 1, theta_nb[first + 1] - 1.0, math.inf),  # onto tau_1
+        (first + 1, theta_nb[first + 1] - 3.0, math.inf),  # past tau_1
+        (first, theta_nb[first] - 1.0, None),
+        (first + 1, theta_nb[first + 1] + 20.0, None),
+    ]
+    for th, group in ((theta, cases), (theta_nb, cases_nb)):
+        for j, value, want in group:
+            got = model.potential_diff(th, j, value)
+            assert_diff_matches(model, th, j, value, got)
+            if want is not None:
+                assert got == want, (j, value, got)
+
+
+def test_arch_cp_middle_change_point_meets_both_neighbours():
+    model = build_model("arch_cp", {"T": 40, "k_max": 3}, synth_seed=3)
+    j = model._n_smooth + 1
+    theta = _arch_at(model, [10, 12, 14])
+    for step, finite in ((-2.0, False), (-1.0, True), (1.0, True),
+                         (2.0, False), (9.0, False)):
+        got = model.potential_diff(theta, j, theta[j] + step)
+        assert_diff_matches(model, theta, j, theta[j] + step, got)
+        assert math.isfinite(got) == finite, (step, got)
+
+
+def test_jolly_seber_diff_at_support_edges():
+    model = MODELS["jolly_seber"]()
+    first = 2 * model.T - 1
+    for i, emap in enumerate(model.emaps):  # the first, middle and last count
+        j = first + i
+        theta = model.initial_theta(np.random.default_rng(i))
+        theta[j] = emap.embed_center(emap.lo)
+        for value, finite in ((emap.knots[0], False), (emap.knots[0] - 0.3, False),
+                              (emap.embed_center(emap.lo + 1), True)):
+            got = model.potential_diff(theta, j, value)
+            assert_diff_matches(model, theta, j, value, got)
+            assert math.isfinite(got) == finite
+        theta[j] = emap.embed_center(model.n_max)
+        for value, finite in ((emap.knots[-1] + 0.01, False),
+                              (emap.knots[-1], True),
+                              (emap.embed_center(model.n_max - 1), True)):
+            got = model.potential_diff(theta, j, value)
+            assert_diff_matches(model, theta, j, value, got)
+            assert math.isfinite(got) == finite
+
+
+# ----------------------------------------------------------------- purity
+
+
+@pytest.mark.parametrize("name", ["jolly_seber", "arch_cp"])
+def test_potential_diff_is_pure(name):
+    model = MODELS[name]()
+    rng = np.random.default_rng(4)
+    theta = model.initial_theta(rng)
+    theta.setflags(write=False)  # any write to theta raises
+    other = model.initial_theta(rng)
+    other[model.smooth_idx] += 0.3
+    for j in list(model.disc_idx) + [0, int(model.smooth_idx[-1])]:
+        for step in (-0.9, -0.2, 0.4, 3.0, 40.0):
+            first = model.potential_diff(theta, j, theta[j] + step)
+            model.potential(other)
+            model.grad_smooth(other)
+            model.potential_diff(other, j, other[j] - step)
+            again = model.potential_diff(theta, j, theta[j] + step)
+            assert first == again, (j, step, first, again)
+
+
+# ------------------------------------------------------ gradient contract
+
+
+@pytest.mark.parametrize("name", WITH_SMOOTH)
+def test_grad_smooth_matches_finite_differences(name):
+    model = MODELS[name]()
+    smooth = model.smooth_idx
+    store = _walk(model, "dhmc", seed=5, n_warmup=20, n_samples=30)
+    points = [model.initial_theta(np.random.default_rng(0))]
+    points += [store.draws[i] for i in (9, 19, 29)]
+    for theta in points:
+
+        def on_smooth(v, theta=theta):
+            t = theta.copy()
+            t[smooth] = v
+            return model.potential(t)
+
+        fd = fd_grad(on_smooth, theta[smooth])
+        np.testing.assert_allclose(model.grad_smooth(theta), fd,
+                                   rtol=1e-6, atol=1e-5)
+
+
+# --------------------------------------------------- off-support proposals
+
+
+def _off_support(name, model, theta):
+    """(j, value) pairs that move an in-support theta off the support."""
+    if name in ("pmf", "binomial_n"):
+        knots = model.embeddings[0].knots
+        return [(0, knots[0]), (0, knots[0] - 2.0), (0, knots[-1] + 0.5)]
+    if name == "grid":
+        ax0, ax1 = model.axis_maps
+        return [(0, ax0.knots[-1] + 0.5), (1, ax1.knots[0] - 0.1),
+                (1, ax1.embed_center(2))]  # into the zero-mass cell
+    if name == "jolly_seber":
+        first = 2 * model.T - 1
+        return [(first + i, x) for i, em in enumerate(model.emaps)
+                for x in (em.knots[0], em.knots[-1] + 0.5)]
+    if name == "arch_cp":
+        first = model._n_smooth
+        knots = model.tau_map.knots
+        return [(first, knots[0] - 1.0), (first + 1, knots[-1] + 0.5),
+                (first, theta[first + 1]),  # onto the next change point
+                (first + 1, theta[first] - 1.0)]  # past the previous one
+    raise KeyError(name)
+
+
+BOUNDED = ["pmf", "grid", "binomial_n", "jolly_seber", "arch_cp"]
+
+
+@pytest.mark.parametrize("name", BOUNDED)
+def test_off_support_is_inf_on_both_paths(name):
+    model = MODELS[name]()
+    theta = model.initial_theta(np.random.default_rng(1))
+    if name == "grid":
+        theta = np.array([model.axis_maps[0].embed_center(2),
+                          model.axis_maps[1].embed_center(4)])
+    assert math.isfinite(model.potential(theta))
+    for j, value in _off_support(name, model, theta):
+        moved = theta.copy()
+        moved[j] = value
+        assert model.potential(moved) == np.inf, (j, value)
+        if model.potential_diff is not None:
+            assert model.potential_diff(theta, j, value) == np.inf, (j, value)
+
+
+@pytest.mark.parametrize("name", sorted(set(MODELS) - set(BOUNDED)))
+def test_far_moves_stay_finite_on_a_full_support(name):
+    model = MODELS[name]()
+    theta = model.initial_theta(np.random.default_rng(1))
+    for j in range(model.dim):
+        for value in (theta[j] - 1e3, theta[j] + 1e3):
+            moved = theta.copy()
+            moved[j] = value
+            assert math.isfinite(model.potential(moved)), (j, value)
+            if model.potential_diff is not None:
+                assert math.isfinite(model.potential_diff(theta, j, value))

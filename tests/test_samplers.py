@@ -15,7 +15,8 @@ from dhmc import (ConfigError, ContractError, MassSpec, PhaseState,
 from dhmc.embedding import EmbeddingMap
 from dhmc.models import BananaTarget, BinomialNTarget, GaussianTarget, GridTarget
 
-from conftest import CoupledMix, SmoothStep, WalledGaussian, all_disc_state, all_smooth_state
+from conftest import (CoupledMix, SmoothStep, WalledGaussian, all_disc_state,
+                      all_smooth_state, small_arch_cp, small_jolly_seber)
 
 IDX0 = np.array([], dtype=np.intp)
 
@@ -456,7 +457,8 @@ class Counted(TargetModel):
 
 
 _CORE_TARGETS = {"mixed": CoupledMix, "smooth": lambda: GaussianTarget(dim=2),
-                 "disc": three_state}
+                 "disc": three_state, "jolly_seber": small_jolly_seber,
+                 "arch_cp": small_arch_cp}
 
 
 @pytest.mark.parametrize("target", sorted(_CORE_TARGETS))
@@ -482,6 +484,31 @@ def test_split_step_carries_its_closing_gradient():
     assert store.divergences == 0
     steps = sum(t.path_len_used for t in store.traces)
     assert model.calls["grad_smooth"] == steps + cfg.n_samples
+
+
+def test_arch_cp_change_point_update_is_one_diff_call():
+    # each tau update of a dhmc sweep is one potential_diff call, and that
+    # call evaluates no potential of its own
+    arch = small_arch_cp()
+    full = arch.potential
+    all_potentials = []
+
+    def potential(theta):
+        all_potentials.append(1)
+        return full(theta)
+
+    arch.potential = potential  # also seen from inside potential_diff
+    model = Counted(arch)
+    cfg = SamplerConfig(kernel="dhmc", eps_range=(0.05, 0.1), path_len=(2, 5),
+                        n_warmup=0, n_samples=40, tune_eps=False,
+                        tune_mass=False, seed=41)
+    store = run_chain(model, None, cfg)
+    assert store.divergences == 0
+    steps = sum(t.path_len_used for t in store.traces)
+    assert model.calls["potential_diff"] == arch.k_max * steps
+    # the initial-point check, then one mid-step and one closing potential
+    assert model.calls["potential"] == 1 + 2 * steps
+    assert len(all_potentials) == model.calls["potential"]
 
 
 def test_dhmc_on_an_all_smooth_target_is_hmc():
