@@ -10,30 +10,28 @@ Bundled targets live in ``dhmc.models``; the ``dhmc`` console script drives
 everything from a YAML config.
 """
 
-from .core import (ConfigError, ContractError, DhmcError, EnergyLedger,
-                   MassSpec, ModelError, OutOfSupportError, PhaseState,
-                   TargetModel, hamiltonian, kinetic_energy, sample_momentum)
+from .core import (ConfigError, ContractError, DhmcError, MassSpec, ModelError,
+                   OutOfSupportError, PhaseState, TargetModel, kinetic_energy,
+                   sample_momentum)
 from .diagnostics import (ChainSummary, EssReport, batch_means_ess,
                           min_ess_report, summarize)
-from .embedding import EmbeddedPrior, EmbeddingMap
+from .embedding import EmbeddingMap
 from .integrators import (StepOutcome, SweepOrder, coord_step, coord_sweep,
-                          dhmc_step, gaussian_event_step)
+                          dhmc_step)
 from .samplers import (KERNELS, KernelTrace, SamplerConfig, SampleStore,
                        dhmc_transition, hmc_transition, mwg_transition,
                        run_chain, rwm_transition)
-from .tuning import TuneState, adapt_stepsize, flip_statistic
+from .tuning import TuneState, adapt_stepsize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChainSummary", "ConfigError", "ContractError", "DhmcError",
-    "EmbeddedPrior", "EmbeddingMap", "EnergyLedger", "EssReport", "KERNELS",
-    "KernelTrace", "MassSpec", "ModelError", "OutOfSupportError",
-    "PhaseState", "SampleStore", "SamplerConfig", "StepOutcome", "SweepOrder",
-    "TargetModel", "TuneState", "adapt_stepsize", "batch_means_ess",
-    "coord_step", "coord_sweep", "dhmc_step", "dhmc_transition",
-    "flip_statistic", "gaussian_event_step", "hamiltonian",
-    "hmc_transition", "kinetic_energy", "min_ess_report",
-    "mwg_transition", "run_chain", "rwm_transition", "sample_momentum",
-    "summarize",
+    "EmbeddingMap", "EssReport", "KERNELS", "KernelTrace", "MassSpec",
+    "ModelError", "OutOfSupportError", "PhaseState", "SampleStore",
+    "SamplerConfig", "StepOutcome", "SweepOrder", "TargetModel", "TuneState",
+    "adapt_stepsize", "batch_means_ess", "coord_step", "coord_sweep",
+    "dhmc_step", "dhmc_transition", "hmc_transition", "kinetic_energy",
+    "min_ess_report", "mwg_transition", "run_chain", "rwm_transition",
+    "sample_momentum", "summarize",
 ]

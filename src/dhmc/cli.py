@@ -39,7 +39,7 @@ from .core import sample_momentum
 from .diagnostics import min_ess_report, summarize
 from .integrators import SweepOrder, coord_step
 from .models import build_model
-from .samplers import KERNELS, SamplerConfig, run_chain
+from .samplers import SampleStore, SamplerConfig, run_chain
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
 
@@ -331,23 +331,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-class _LoadedStore:
-    """Just enough of SampleStore to feed the diagnostics module."""
-
-    def __init__(self, names, draws, potential_evals):
-        self.names = list(names)
-        self.draws = draws
-        self.embeddings = {}
-        self.potential_evals = potential_evals
-
-    @property
-    def n_samples(self):
-        return self.draws.shape[0]
-
-    def decoded_column(self, i):
-        return self.draws[:, i]
-
-
 def _chain_dirs(run_dir: str) -> list:
     if not os.path.isdir(run_dir):
         raise FileNotFoundError(run_dir)
@@ -360,6 +343,12 @@ def _chain_dirs(run_dir: str) -> list:
 
 
 def _load_chain(chain_dir: str):
+    """Read one chain's artifacts; returns (store, report, raw).
+
+    The store holds the decoded draws and the run's settings and counters
+    from ``report.json``; ``raw`` maps each samples-file header to its
+    column, including the ``<name>_emb`` columns of embedded coordinates.
+    """
     with open(os.path.join(chain_dir, "report.json")) as fh:
         report = json.load(fh)
     csv_path = os.path.join(chain_dir, "samples.csv")
@@ -367,9 +356,11 @@ def _load_chain(chain_dir: str):
     if os.path.exists(csv_path):
         with open(csv_path) as fh:
             header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        raw = {h: np.array([float(r[i]) for r in rows])
-               for i, h in enumerate(header)} if rows else {h: np.empty(0) for h in header}
+            empty = not fh.readline().strip()
+        # loadtxt warns on a header-only file and returns the wrong width
+        table = np.empty((0, len(header))) if empty else np.loadtxt(
+            csv_path, delimiter=",", skiprows=1, ndmin=2)
+        raw = {h: table[:, i] for i, h in enumerate(header)}
     elif os.path.exists(jsonl_path):
         records = []
         with open(jsonl_path) as fh:
@@ -381,9 +372,17 @@ def _load_chain(chain_dir: str):
     else:
         raise FileNotFoundError(f"no samples file in {chain_dir}")
     names = report["param_names"]
-    n = len(next(iter(raw.values()))) if raw else 0
-    draws = np.column_stack([raw[name] for name in names]) if n else np.empty((0, len(names)))
-    store = _LoadedStore(names, draws, report.get("potential_evals", 0))
+    store = SampleStore(
+        names=list(names),
+        draws=np.column_stack([raw[name] for name in names]),
+        kernel=report["kernel"], eps_range=tuple(report["eps_range_used"]),
+        mass=MassSpec(m_disc=report["mass_disc"],
+                      diag_smooth=report["mass_diag_smooth"]),
+        divergences=report["divergences"],
+        potential_evals=report["potential_evals"],
+        warmup_evals=report["warmup_evals"],
+        warmup_divergences=report["warmup_divergences"],
+        warnings=report["tuning_warnings"])
     return store, report, raw
 
 
@@ -391,7 +390,8 @@ def cmd_diagnose(args) -> int:
     try:
         dirs = _chain_dirs(args.run_dir)
         loaded = [_load_chain(d) for d in dirs]
-    except (FileNotFoundError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, OSError, KeyError, json.JSONDecodeError,
+            ContractError) as exc:
         print(f"error: cannot read run artifacts: {exc}", file=sys.stderr)
         return 3
     try:

@@ -1,4 +1,4 @@
-"""Phase-space state, mass handling and energy bookkeeping.
+"""Phase-space state, mass handling, the kinetic energy and the error types.
 
 The sampler works on a parameter vector theta of length d that is split into
 two disjoint index sets: coordinates in ``smooth_idx`` carry Gaussian momenta
@@ -155,9 +155,11 @@ class TargetModel:
       smooth block, only queried where the potential is finite,
     - optionally ``potential_diff(theta, j, value) -> float``: the change in
       potential when coordinate j moves to ``value``, cheaper than two full
-      potential calls and equal to them up to rounding.  It must be a pure
-      function of its arguments: it leaves ``theta`` unchanged and keeps no
-      state between calls.
+      potential calls and equal to them up to rounding.  It is only called
+      where ``potential(theta)`` is finite; elsewhere its result is undefined
+      and it may raise ``ContractError``.  It must be a pure function of its
+      arguments: it leaves ``theta`` unchanged and keeps no state between
+      calls.
 
     ``embeddings`` maps a coordinate index to the EmbeddingMap that decodes it
     back to an integer; coordinates absent from the dict are genuinely
@@ -192,18 +194,6 @@ class TargetModel:
         return np.zeros(self.dim)
 
 
-@dataclass(frozen=True)
-class EnergyLedger:
-    """Potential, kinetic and total energy of one phase-space point."""
-
-    potential: float
-    kinetic: float
-
-    @property
-    def hamiltonian(self) -> float:
-        return self.potential + self.kinetic
-
-
 def kinetic_energy(p: np.ndarray, mass: MassSpec, smooth_idx, disc_idx) -> float:
     """Evaluate K(p) for the given partition.
 
@@ -220,15 +210,6 @@ def kinetic_energy(p: np.ndarray, mass: MassSpec, smooth_idx, disc_idx) -> float
     if len(disc):
         k += float(np.sum(np.abs(p[disc]) / mass.m_disc))
     return k
-
-
-def hamiltonian(model: TargetModel, state: PhaseState, mass: MassSpec) -> EnergyLedger:
-    """Evaluate the energy ledger at ``state``; NaN potentials raise ModelError."""
-    u = model.potential(state.theta)
-    if np.isnan(u):
-        raise ModelError(f"{model.name} returned NaN potential")
-    k = kinetic_energy(state.p, mass, state.smooth_idx, state.disc_idx)
-    return EnergyLedger(potential=float(u), kinetic=k)
 
 
 def sample_momentum(rng: np.random.Generator, mass: MassSpec,

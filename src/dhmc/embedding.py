@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ContractError, OutOfSupportError
 
-__all__ = ["EmbeddingMap", "EmbeddedPrior"]
+__all__ = ["EmbeddingMap"]
 
 
 @dataclass(frozen=True)
@@ -121,37 +121,3 @@ class EmbeddingMap:
             raise OutOfSupportError("embedded values outside the knot range")
         cells = np.searchsorted(self.knots, xs, side="left") - 1
         return self.values[cells]
-
-
-@dataclass(frozen=True)
-class EmbeddedPrior:
-    """A discrete mass function pushed through an EmbeddingMap.
-
-    ``log_pmf[k]`` is the unnormalised log mass of cell k.  The embedded log
-    density subtracts the log cell width and is -inf off the support.
-    """
-
-    emap: EmbeddingMap
-    log_pmf: np.ndarray
-
-    def __post_init__(self):
-        log_pmf = np.array(self.log_pmf, dtype=float)
-        if log_pmf.shape != (self.emap.n_cells,):
-            raise ContractError("log_pmf must have one entry per cell")
-        if np.any(np.isnan(log_pmf)):
-            raise ContractError("log_pmf must not contain NaN")
-        log_pmf.setflags(write=False)
-        object.__setattr__(self, "log_pmf", log_pmf)
-
-    @classmethod
-    def from_probs(cls, emap: EmbeddingMap, probs) -> "EmbeddedPrior":
-        probs = np.asarray(probs, dtype=float)
-        with np.errstate(divide="ignore"):
-            return cls(emap=emap, log_pmf=np.log(probs))
-
-    def log_density(self, x: float) -> float:
-        """Embedded log density at x, -inf outside the support."""
-        if not self.emap.contains(x):
-            return -np.inf
-        k = self.emap.cell_of(x)
-        return float(self.log_pmf[k] - np.log(self.emap.knots[k + 1] - self.emap.knots[k]))

@@ -1,6 +1,6 @@
 """Energy-exact and splitting integrators for mixed targets.
 
-One trajectory core and one foil live here:
+One trajectory core lives here:
 
 - ``dhmc_step``: one step of the split integrator, a half kick and half drift
   of the smooth block around a full sweep of the discontinuous block.  With
@@ -12,9 +12,6 @@ One trajectory core and one foil live here:
   potential, or bounces (momentum flip) when the kinetic budget
   ``|p_j| / m_j`` does not cover the increase.  Each update preserves the
   Hamiltonian exactly, for any potential.
-- ``gaussian_event_step``: event-driven integration for Gaussian momenta on
-  axis-aligned piecewise-constant potentials, refracting or reflecting at each
-  cell boundary.
 
 Tunnelling caveat: a coordinate jump can step across a thin high-potential
 sliver narrower than ``eps / m_j`` without ever paying for it; choose step
@@ -29,10 +26,8 @@ import numpy as np
 
 from .core import ContractError, MassSpec, ModelError, PhaseState, TargetModel
 
-__all__ = [
-    "StepOutcome", "SweepOrder", "coord_step", "coord_sweep", "dhmc_step",
-    "gaussian_event_step",
-]
+__all__ = ["StepOutcome", "SweepOrder", "coord_step", "coord_sweep",
+           "dhmc_step"]
 
 
 @dataclass(frozen=True)
@@ -41,15 +36,13 @@ class StepOutcome:
 
     ``potential_evals`` counts model work: one per ``potential`` or
     ``potential_diff`` call and one per ``grad_smooth`` call.  ``flips``
-    counts momentum reflections, ``events`` counts boundary events of the
-    event-driven integrator, ``diverged`` flags a smooth drift that left the
-    support (the caller should reject the trajectory).
+    counts momentum reflections, ``diverged`` flags a smooth drift that left
+    the support (the caller should reject the trajectory).
     """
 
     state: PhaseState
     flips: int = 0
     potential_evals: int = 0
-    events: int = 0
     diverged: bool = False
 
 
@@ -257,81 +250,3 @@ def dhmc_step(model: TargetModel, state: PhaseState, eps: float, mass: MassSpec,
                            diverged=True)
     out = PhaseState(theta, p, state.smooth_idx, state.disc_idx)
     return StepOutcome(state=out, flips=flips, potential_evals=evals)
-
-
-def gaussian_event_step(model, state: PhaseState, eps: float) -> StepOutcome:
-    """Advance Gaussian-momentum dynamics on an axis-aligned grid potential.
-
-    The model must expose ``axis_maps`` (knot sequences per axis) and
-    ``cell_potential(cells)``; between boundaries the motion is linear with
-    unit mass.  At a boundary crossing along axis i the momentum refracts,
-    p_i <- sign(p_i) sqrt(p_i^2 - 2 dU), when p_i^2 / 2 > dU and reflects,
-    p_i <- -p_i, otherwise; an infinite dU always reflects.  Simultaneous
-    events (within 1e-12 of each other) are processed in ascending axis
-    order.  Energy is conserved exactly up to rounding.
-    """
-    if not hasattr(model, "axis_maps") or not hasattr(model, "cell_potential"):
-        raise ContractError(
-            f"{getattr(model, 'name', 'model')} does not expose an axis grid")
-    if eps <= 0:
-        raise ContractError("eps must be positive")
-    theta = state.theta.copy()
-    p = state.p.copy()
-    d = state.dim
-    maps = model.axis_maps
-    if len(maps) != d:
-        raise ContractError("axis grid dimension does not match the state")
-    cells = [maps[i].cell_of(theta[i]) for i in range(d)]
-    u_here = model.cell_potential(cells)
-    evals = 1
-    if not np.isfinite(u_here):
-        raise ContractError("start position must have finite potential")
-
-    events = 0
-    flips = 0
-    remaining = float(eps)
-    while remaining > 0.0:
-        # Time to the next boundary along each moving axis; clamp tiny
-        # negative values from rounding so overshoots fire immediately.
-        t_hit = np.full(d, np.inf)
-        for i in range(d):
-            pi = p[i]
-            knots = maps[i].knots
-            ci = cells[i]
-            if pi > 0.0:
-                t_hit[i] = max((knots[ci + 1] - theta[i]) / pi, 0.0)
-            elif pi < 0.0:
-                t_hit[i] = max((knots[ci] - theta[i]) / pi, 0.0)
-        i = int(np.argmin(t_hit))
-        t_min = float(t_hit[i])
-        if t_min >= remaining:
-            theta += remaining * p
-            break
-        # Advance to the event time, snapping the hitting axis onto its knot;
-        # exact ties resolve to the lowest axis index via argmin.
-        theta += t_min * p
-        ci = cells[i]
-        theta[i] = maps[i].knots[ci + 1] if p[i] > 0 else maps[i].knots[ci]
-        remaining -= t_min
-        events += 1
-        pi = p[i]
-        step = 1 if pi > 0 else -1
-        next_cell = ci + step
-        if next_cell < 0 or next_cell >= maps[i].n_cells:
-            du = np.inf
-        else:
-            trial = list(cells)
-            trial[i] = next_cell
-            u_next = model.cell_potential(trial)
-            evals += 1
-            du = u_next - u_here
-        if 0.5 * pi * pi > du:
-            p[i] = step * np.sqrt(pi * pi - 2.0 * du)
-            cells[i] = next_cell
-            u_here = u_next
-        else:
-            p[i] = -pi
-            flips += 1
-    out = PhaseState(theta, p, state.smooth_idx, state.disc_idx)
-    return StepOutcome(state=out, flips=flips, potential_evals=evals,
-                       events=events)

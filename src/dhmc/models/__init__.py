@@ -23,20 +23,8 @@ __all__ = [
     "load_classification", "load_series", "load_stats", "population_draws",
     "save_classification", "save_series", "save_stats",
     "simulate_capture_recapture", "survival_chi", "synth_arch_series",
-    "synth_classification", "synth_data",
+    "synth_classification",
 ]
-
-
-def synth_data(kind: str, rng: np.random.Generator, **params):
-    """Create a synthetic dataset; returns (data, truth dict)."""
-    if kind == "classification":
-        X, y, beta = synth_classification(rng, **params)
-        return (X, y), {"beta": beta}
-    if kind == "arch_series":
-        return synth_arch_series(rng, **params)
-    if kind == "capture_recapture":
-        return simulate_capture_recapture(rng, **params)
-    raise ContractError(f"unknown synthetic dataset kind {kind!r}")
 
 
 def build_model(name: str, params: dict | None = None,

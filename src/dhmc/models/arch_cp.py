@@ -145,7 +145,11 @@ class ArchChangePointTarget(TargetModel):
         pot = 0.5 * np.sum(np.log(sigma2) + _LOG_2PI + self._ysq / sigma2)
         pot += 0.5 * (la0 * la0 + lb0 * lb0) + _LOG_2PI
         if self.k_max:
-            sa, sb = math.exp(lsa), math.exp(lsb)
+            try:
+                sa, sb = math.exp(lsa), math.exp(lsb)
+            except OverflowError:
+                # sigma above e^709.78: truncates a tail of mass below e^-709
+                return float("inf")
             eta_a, eta_b = np.exp(lea), np.exp(leb)
             for delta, s, eta in ((da, sa, eta_a), (db, sb, eta_b)):
                 scale = s * eta
@@ -215,7 +219,10 @@ class ArchChangePointTarget(TargetModel):
         g[0] = np.sum(aw) + la0
         g[1] = np.sum(bw) + lb0
         if K:
-            sa, sb = math.exp(lsa), math.exp(lsb)
+            try:
+                sa, sb = math.exp(lsa), math.exp(lsb)
+            except OverflowError:
+                raise ContractError("gradient queried off support") from None
             eta_a, eta_b = np.exp(lea), np.exp(leb)
             va = (sa * eta_a) ** 2
             vb = (sb * eta_b) ** 2

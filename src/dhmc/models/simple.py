@@ -65,8 +65,8 @@ class GridTarget(TargetModel):
     ``log_mass[c1, ..., ck]`` is the unnormalised log mass of the cell with
     per-axis indices c_i; the embedded density divides by the cell volume, so
     the stored potential table is -log_mass + sum_i log(width_i).  Cells with
-    -inf log mass are off-support walls.  Exposes ``axis_maps`` and
-    ``cell_potential`` for the event-driven integrator.
+    -inf log mass are off-support walls.  ``axis_maps`` holds the per-axis
+    EmbeddingMaps.
     """
 
     name = "grid"
@@ -110,9 +110,6 @@ class GridTarget(TargetModel):
     @property
     def disc_idx(self):
         return self._disc
-
-    def cell_potential(self, cells) -> float:
-        return float(self._table[tuple(cells)])
 
     def _cells(self, theta):
         cells = []

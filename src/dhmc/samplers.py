@@ -337,35 +337,26 @@ class SampleStore:
 
     ``draws`` holds raw sampling-space values; embedded discrete coordinates
     decode through ``embeddings``.  ``potential_evals`` counts sampling-phase
-    model work only, warmup work is reported separately.
+    model work only, warmup work is reported separately.  A store loaded from
+    run artifacts holds decoded draws, no embeddings and no traces.
     """
 
     names: list
     draws: np.ndarray
-    smooth_idx: np.ndarray
-    disc_idx: np.ndarray
-    embeddings: dict
-    traces: list
-    kernel: str
-    eps_range: tuple
-    mass: MassSpec
+    embeddings: dict = field(default_factory=dict)
+    traces: list = field(default_factory=list)
+    kernel: str = ""
+    eps_range: tuple = ()
+    mass: MassSpec | None = None
     divergences: int = 0
     potential_evals: int = 0
     warmup_evals: int = 0
     warmup_divergences: int = 0
     warnings: list = field(default_factory=list)
-    seed: int | None = None
 
     @property
     def n_samples(self) -> int:
         return self.draws.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.draws.shape[1]
-
-    def column(self, i: int) -> np.ndarray:
-        return self.draws[:, i]
 
     def decoded_column(self, i: int) -> np.ndarray:
         """Column i with embedded coordinates decoded to their integers."""
@@ -374,12 +365,6 @@ class SampleStore:
         if emap is None:
             return col
         return emap.decode(col).astype(float)
-
-    def decoded_draws(self) -> np.ndarray:
-        out = np.empty_like(self.draws)
-        for i in range(self.dim):
-            out[:, i] = self.decoded_column(i)
-        return out
 
     def acceptance_rate(self) -> float:
         if not self.traces:
@@ -529,9 +514,8 @@ def run_chain(model: TargetModel, init, cfg: SamplerConfig,
         evals += trace.potential_evals
 
     return SampleStore(
-        names=list(model.param_names), draws=draws, smooth_idx=smooth,
-        disc_idx=disc, embeddings=dict(model.embeddings), traces=traces,
-        kernel=cfg.kernel, eps_range=tuple(final_eps_range), mass=mass,
-        divergences=divergences, potential_evals=evals,
-        warmup_evals=warmup_evals, warmup_divergences=warmup_div,
-        warnings=warnings, seed=cfg.seed)
+        names=list(model.param_names), draws=draws,
+        embeddings=dict(model.embeddings), traces=traces, kernel=cfg.kernel,
+        eps_range=tuple(final_eps_range), mass=mass, divergences=divergences,
+        potential_evals=evals, warmup_evals=warmup_evals,
+        warmup_divergences=warmup_div, warnings=warnings)

@@ -10,13 +10,13 @@ machinery consumes the plain acceptance indicator instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import ContractError, MassSpec
 
-__all__ = ["TuneState", "flip_statistic", "adapt_stepsize", "mass_from_state"]
+__all__ = ["TuneState", "adapt_stepsize", "mass_from_state"]
 
 
 @dataclass(frozen=True)
@@ -60,24 +60,6 @@ class TuneState:
         if self.count < 2:
             raise ContractError("need at least 2 observed draws")
         return self.m2 / (self.count - 1)
-
-
-def flip_statistic(traces, total_updates: int | None = None) -> float:
-    """1 - flips / coordinate updates over a batch of kernel traces.
-
-    The aggregation is by totals, not an average of per-trace ratios, so
-    traces with different sweep sizes are weighted by their update counts.
-    """
-    flips = 0
-    updates = 0
-    for tr in traces:
-        flips += tr.flips
-        updates += tr.coord_updates
-    if total_updates is not None:
-        updates = total_updates
-    if updates <= 0:
-        raise ContractError("no coordinate updates recorded")
-    return 1.0 - flips / updates
 
 
 def adapt_stepsize(ts: TuneState, observed_stat: float) -> TuneState:

@@ -1,10 +1,8 @@
 """Shared test targets and numeric helpers."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from dhmc import EmbeddingMap, PhaseState, TargetModel
+from dhmc import EmbeddingMap, PhaseState, TargetModel, kinetic_energy
 from dhmc.models import build_model
 
 _EMPTY = np.array([], dtype=np.intp)
@@ -206,25 +204,10 @@ class CoupledMix(TargetModel):
         return np.array([0.0, self.emap.embed_center(2)])
 
 
-@dataclass
-class FakeStore:
-    """Bare-bones draw container accepted by the diagnostics functions."""
-
-    names: list
-    draws: np.ndarray
-    embeddings: dict = field(default_factory=dict)
-    potential_evals: int = 0
-
-    @property
-    def n_samples(self):
-        return self.draws.shape[0]
-
-    def decoded_column(self, i):
-        col = self.draws[:, i]
-        emap = self.embeddings.get(i)
-        if emap is None:
-            return col
-        return emap.decode(col).astype(float)
+def hamiltonian(model, state, mass):
+    """H at a phase-space point: the potential plus the kinetic energy."""
+    return model.potential(state.theta) + kinetic_energy(
+        state.p, mass, state.smooth_idx, state.disc_idx)
 
 
 def all_disc_state(theta, p):

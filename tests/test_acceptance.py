@@ -22,15 +22,14 @@ from scipy.stats import binom
 
 from dhmc import (MassSpec, PhaseState, SamplerConfig, SweepOrder, TuneState,
                   adapt_stepsize, batch_means_ess, coord_sweep, dhmc_step,
-                  dhmc_transition, gaussian_event_step, hamiltonian,
-                  min_ess_report, mwg_transition, run_chain)
+                  dhmc_transition, min_ess_report, mwg_transition, run_chain)
 from dhmc.embedding import EmbeddingMap
 from dhmc.models import (Ar1Target, BinomialNTarget, GaussianTarget,
                          GridTarget, JollySeberStats, JollySeberTarget,
                          build_model)
 
 from conftest import (CoupledMix, SmoothStep, all_disc_state,
-                      all_smooth_state, batch_se, fd_jacobian)
+                      all_smooth_state, batch_se, fd_jacobian, hamiltonian)
 from test_models import _js_naive_potential
 
 THREE_STATE = np.array([0.2, 0.5, 0.3])
@@ -101,11 +100,11 @@ def test_01_exact_energy_conservation():
             theta = _interior_start(rng, model)
             mass = MassSpec(m_disc=rng.uniform(0.3, 3.0, size=d))
             st = all_disc_state(theta, rng.laplace(0.0, mass.m_disc))
-            h0 = hamiltonian(model, st, mass).hamiltonian
+            h0 = hamiltonian(model, st, mass)
             order = SweepOrder.draw(rng, model.disc_idx)
             out = coord_sweep(model, st, order, float(rng.uniform(0.05, 2.0)),
                               mass)
-            h1 = hamiltonian(model, out.state, mass).hamiltonian
+            h1 = hamiltonian(model, out.state, mass)
             assert abs(h1 - h0) <= 1e-10 * (1.0 + abs(h0))
             cases += 1
         # sweeps of the discontinuous block of a mixed target
@@ -116,29 +115,14 @@ def test_01_exact_energy_conservation():
                             diag_smooth=rng.uniform(0.3, 3.0, size=1))
             p = np.array([rng.normal(), rng.laplace(0.0, mass.m_disc[0])])
             st = PhaseState(theta, p, cm.smooth_idx, cm.disc_idx)
-            h0 = hamiltonian(cm, st, mass).hamiltonian
+            h0 = hamiltonian(cm, st, mass)
             order = SweepOrder.draw(rng, cm.disc_idx)
             out = coord_sweep(cm, st, order, float(rng.uniform(0.05, 1.5)),
                               mass)
-            h1 = hamiltonian(cm, out.state, mass).hamiltonian
+            h1 = hamiltonian(cm, out.state, mass)
             assert abs(h1 - h0) <= 1e-10 * (1.0 + abs(h0))
             cases += 1
-        # event-driven steps with Gaussian momentum across walls
-        for _ in range(400):
-            model = _random_grid(rng, 2)
-            theta = _interior_start(rng, model)
-            p = rng.normal(scale=2.0, size=2)
-            if p[0] == 0.0 or p[1] == 0.0:
-                p = np.where(p == 0.0, 0.5, p)
-            st = all_disc_state(theta, p)
-            h0 = model.potential(theta) + 0.5 * float(p @ p)
-            out = gaussian_event_step(model, st, float(rng.uniform(0.3, 4.0)))
-            th, ph = out.state.theta, out.state.p
-            probe = th + 1e-9 * ph  # boundary-exact finishes classify forward
-            h1 = model.potential(probe) + 0.5 * float(ph @ ph)
-            assert abs(h1 - h0) <= 1e-10 * (1.0 + abs(h0))
-            cases += 1
-        assert cases == 1000
+        assert cases == 600
 
 
 def test_02_reversibility_and_volume():
@@ -237,10 +221,10 @@ def test_05_error_order_scaling():
         errs = []
         for eps in eps_list:
             st = all_smooth_state([1.0, -0.5], [0.3, 0.7])
-            h0 = hamiltonian(g, st, mass2).hamiltonian
+            h0 = hamiltonian(g, st, mass2)
             for _ in range(int(round(tau / eps))):
                 st = stepper(g, st, eps, mass2).state
-            errs.append(abs(hamiltonian(g, st, mass2).hamiltonian - h0))
+            errs.append(abs(hamiltonian(g, st, mass2) - h0))
         return np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
 
     with _criterion(5, "energy error scales as stepsize squared, "
@@ -255,10 +239,10 @@ def test_05_error_order_scaling():
         floors = []
         for eps in (0.1, 0.05, 0.025):
             st = all_smooth_state([0.0], [2.0])
-            h0 = hamiltonian(ss, st, mass1).hamiltonian
+            h0 = hamiltonian(ss, st, mass1)
             for _ in range(int(round(tau / eps))):
                 st = leapfrog_step(ss, st, eps, mass1).state
-            floors.append(abs(hamiltonian(ss, st, mass1).hamiltonian - h0))
+            floors.append(abs(hamiltonian(ss, st, mass1) - h0))
         assert min(floors) >= 0.1
 
 
@@ -421,6 +405,6 @@ def test_11_capture_recapture_correctness():
                 truth = 0.4
             else:
                 continue
-            vals = 1.0 / (1.0 + np.exp(-st.column(i)))
+            vals = 1.0 / (1.0 + np.exp(-st.draws[:, i]))
             z = abs(vals.mean() - truth) / vals.std()
             assert z <= 3.0, f"{nm}: mean {vals.mean():.3f}, z {z:.2f}"

@@ -13,6 +13,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,9 @@ import pytest
 import yaml
 
 import dhmc
-from dhmc.cli import COMPARE_FIELDS, DEFAULT_CONFIG, load_config, main
+from dhmc import min_ess_report, run_chain
+from dhmc.cli import (COMPARE_FIELDS, DEFAULT_CONFIG, _load_chain, load_config,
+                      main)
 from dhmc.models import build_model
 
 
@@ -151,6 +154,49 @@ def test_run_embedded_model_writes_decoded_and_raw(tmp_path):
     for decoded, raw in rows:
         assert float(decoded) == int(decoded)  # written as an integer
         assert int(decoded) == emap.decode(float(raw))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_load_chain_round_trips_the_run_chain_store(tmp_path, monkeypatch,
+                                                    fmt):
+    stores = []
+
+    def capture(*args, **kwargs):
+        stores.append(run_chain(*args, **kwargs))
+        return stores[-1]
+
+    monkeypatch.setattr(dhmc.cli, "run_chain", capture)
+    dirs = {}
+    for n in (100, 1, 0):
+        dirs[n] = tmp_path / f"n{n}"
+        cfg = write_config(tmp_path / f"n{n}.yaml", output_dir=str(dirs[n]),
+                           format=fmt,
+                           model={"name": "binomial_n", "params": {}},
+                           sampler={"eps_range": None, "n_samples": n})
+        assert run_cli("run", "--config", cfg) == 0
+    store = stores[0]
+    assert run_cli("diagnose", dirs[100]) == 0
+    loaded, report, raw = _load_chain(str(dirs[100] / "chain_00"))
+    assert loaded.draws.tobytes() == store.decoded_column(0).tobytes()
+    np.testing.assert_array_equal(raw["N_emb"], store.draws[:, 0])
+    assert loaded.names == store.names == report["param_names"]
+    assert (loaded.embeddings, loaded.traces) == ({}, [])
+    assert (loaded.kernel, loaded.eps_range) == (store.kernel, store.eps_range)
+    np.testing.assert_array_equal(loaded.mass.m_disc, store.mass.m_disc)
+    for counter in ("divergences", "potential_evals", "warmup_evals",
+                    "warmup_divergences", "warnings"):
+        assert getattr(loaded, counter) == getattr(store, counter), counter
+    ess = json.loads((dirs[100] / "ess.json").read_text())
+    assert ess["chains"][0]["min_ess"] == min_ess_report(store).min_ess
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one, _, _ = _load_chain(str(dirs[1] / "chain_00"))
+        empty, _, _ = _load_chain(str(dirs[0] / "chain_00"))
+    assert one.draws.shape == (1, 1)
+    assert one.draws.tobytes() == stores[1].decoded_column(0).tobytes()
+    assert empty.draws.shape == (0, 1)
+    assert run_cli("diagnose", dirs[0]) == 3
 
 
 # ------------------------------------------------------------------ diagnose

@@ -1,14 +1,11 @@
-"""Phase-space state, masses, energies, momentum sampling."""
+"""Phase-space state, masses, kinetic energy, momentum sampling."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from dhmc import (ContractError, EnergyLedger, MassSpec, ModelError,
-                  PhaseState, hamiltonian, kinetic_energy, sample_momentum)
-from dhmc.models import GaussianTarget
-
-from conftest import FlatTarget
+from dhmc import (ContractError, MassSpec, PhaseState, kinetic_energy,
+                  sample_momentum)
 
 
 # ---------------------------------------------------------------- PhaseState
@@ -117,48 +114,6 @@ def test_kinetic_dimension_mismatch():
     mass = MassSpec.diagonal([1.0], [1.0])
     with pytest.raises(ContractError):
         kinetic_energy(np.zeros(3), mass, [0], [1])
-
-
-# ------------------------------------------------------------- hamiltonian
-
-
-def test_hamiltonian_flat_and_quadratic():
-    flat = FlatTarget(dim=1)
-    mass = MassSpec(m_disc=np.ones(1))
-    st = PhaseState([0.0], [0.0], [], [0])
-    led = hamiltonian(flat, st, mass)
-    assert (led.potential, led.kinetic, led.hamiltonian) == (0.0, 0.0, 0.0)
-
-    gauss = GaussianTarget(dim=1)
-    st2 = PhaseState([2.0], [0.0], [0], [])
-    led2 = hamiltonian(gauss, st2, MassSpec.diagonal([1.0], []))
-    assert led2.potential == 2.0
-    assert led2.hamiltonian == 2.0
-
-
-def test_hamiltonian_off_support_is_inf():
-    class OffSupport(FlatTarget):
-        def potential(self, theta):
-            return float("inf")
-
-    st = PhaseState([0.0], [1.0], [], [0])
-    led = hamiltonian(OffSupport(dim=1), st, MassSpec(m_disc=np.ones(1)))
-    assert led.hamiltonian == np.inf
-
-
-def test_nan_potential_raises_model_error():
-    class Broken(FlatTarget):
-        def potential(self, theta):
-            return float("nan")
-
-    st = PhaseState([0.0], [1.0], [], [0])
-    with pytest.raises(ModelError):
-        hamiltonian(Broken(dim=1), st, MassSpec(m_disc=np.ones(1)))
-
-
-def test_energy_ledger_sum():
-    led = EnergyLedger(potential=1.5, kinetic=2.25)
-    assert led.hamiltonian == 3.75
 
 
 # --------------------------------------------------------- sample_momentum

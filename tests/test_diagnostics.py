@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from dhmc import ContractError, batch_means_ess, min_ess_report, summarize
+from dhmc import (ContractError, SampleStore, batch_means_ess, min_ess_report,
+                  summarize)
 from dhmc.embedding import EmbeddingMap
-
-from conftest import FakeStore
 
 
 def _ar1(rng, n, rho):
@@ -92,7 +91,7 @@ def test_ess_preconditions():
 
 def test_report_single_column():
     x = np.random.default_rng(0).standard_normal(2000)
-    store = FakeStore(names=["a"], draws=x[:, None], potential_evals=4000)
+    store = SampleStore(names=["a"], draws=x[:, None], potential_evals=4000)
     rep = min_ess_report(store)
     assert rep.min_ess == min(rep.ess_mean[0], rep.ess_second[0])
     assert rep.min_ess == pytest.approx(
@@ -106,7 +105,7 @@ def test_report_min_attained_on_sticky_column():
     rng = np.random.default_rng(1)
     a = rng.standard_normal(4000)
     b = _ar1(rng, 4000, 0.95)
-    store = FakeStore(names=["a", "b"], draws=np.column_stack([a, b]))
+    store = SampleStore(names=["a", "b"], draws=np.column_stack([a, b]))
     rep = min_ess_report(store)
     assert rep.min_ess_name in ("b", "b^2")
     for v in np.concatenate([rep.ess_mean, rep.ess_second]):
@@ -116,7 +115,7 @@ def test_report_min_attained_on_sticky_column():
 
 def test_report_excludes_constant_columns():
     rng = np.random.default_rng(2)
-    store = FakeStore(names=["a", "c"],
+    store = SampleStore(names=["a", "c"],
                       draws=np.column_stack([rng.standard_normal(500),
                                              np.full(500, 7.0)]))
     rep = min_ess_report(store)
@@ -125,7 +124,7 @@ def test_report_excludes_constant_columns():
     assert any("c^2 is constant" in w for w in rep.warnings)
     assert np.isfinite(rep.min_ess)
     with pytest.raises(ContractError, match="every selected sequence"):
-        min_ess_report(FakeStore(names=["c"], draws=np.full((500, 1), 7.0)))
+        min_ess_report(SampleStore(names=["c"], draws=np.full((500, 1), 7.0)))
 
 
 def test_report_scores_decoded_values():
@@ -134,7 +133,7 @@ def test_report_scores_decoded_values():
     cells = rng.integers(0, 5, size=1000)
     # embedded positions jitter inside the cell; decoding removes the jitter
     raw = emap.knots[cells] + rng.uniform(0.01, 0.99, size=1000)
-    store = FakeStore(names=["n"], draws=raw[:, None], embeddings={0: emap})
+    store = SampleStore(names=["n"], draws=raw[:, None], embeddings={0: emap})
     rep = min_ess_report(store)
     decoded = emap.decode(raw).astype(float)
     assert rep.min_ess == pytest.approx(
@@ -143,7 +142,7 @@ def test_report_scores_decoded_values():
 
 def test_report_selectors():
     rng = np.random.default_rng(4)
-    store = FakeStore(names=["a", "b"], draws=rng.standard_normal((300, 2)))
+    store = SampleStore(names=["a", "b"], draws=rng.standard_normal((300, 2)))
     by_name = min_ess_report(store, selector=["b"])
     by_index = min_ess_report(store, selector=[1])
     assert by_name.names == ["b"]
@@ -158,10 +157,10 @@ def test_report_selectors():
 
 def test_report_chain_length_preconditions():
     rng = np.random.default_rng(5)
-    empty = FakeStore(names=["a"], draws=np.empty((0, 1)))
+    empty = SampleStore(names=["a"], draws=np.empty((0, 1)))
     with pytest.raises(ContractError, match="no draws"):
         min_ess_report(empty)
-    short = FakeStore(names=["a"], draws=rng.standard_normal((30, 1)))
+    short = SampleStore(names=["a"], draws=rng.standard_normal((30, 1)))
     with pytest.raises(ContractError, match="need at least 50 draws"):
         min_ess_report(short)
     min_ess_report(short, batches=10)  # fewer batches make it legal
@@ -172,7 +171,7 @@ def test_report_chain_length_preconditions():
 
 def test_summarize_identical_chains_zero_width():
     x = np.random.default_rng(6).standard_normal((400, 2))
-    stores = [FakeStore(names=["a", "b"], draws=x.copy(), potential_evals=100)
+    stores = [SampleStore(names=["a", "b"], draws=x.copy(), potential_evals=100)
               for _ in range(3)]
     s = summarize(stores)
     assert s.min_ess_halfwidth == 0.0
@@ -183,7 +182,7 @@ def test_summarize_identical_chains_zero_width():
 
 def test_summarize_matches_manual_mean():
     rng = np.random.default_rng(7)
-    stores = [FakeStore(names=["a"], draws=rng.standard_normal((500, 1)),
+    stores = [SampleStore(names=["a"], draws=rng.standard_normal((500, 1)),
                         potential_evals=1000) for _ in range(4)]
     reports = [min_ess_report(st) for st in stores]
     s = summarize(stores)
@@ -197,12 +196,12 @@ def test_summarize_matches_manual_mean():
 
 def test_summarize_preconditions():
     x = np.random.default_rng(8).standard_normal((300, 1))
-    one = FakeStore(names=["a"], draws=x)
+    one = SampleStore(names=["a"], draws=x)
     with pytest.raises(ContractError, match="at least 2 chains"):
         summarize([one])
-    other = FakeStore(names=["b"], draws=x.copy())
+    other = SampleStore(names=["b"], draws=x.copy())
     with pytest.raises(ContractError, match="disagree"):
         summarize([one, other])
-    shorter = FakeStore(names=["a"], draws=x[:200].copy())
+    shorter = SampleStore(names=["a"], draws=x[:200].copy())
     with pytest.raises(ContractError, match="disagree"):
         summarize([one, shorter])

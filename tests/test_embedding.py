@@ -1,9 +1,11 @@
-"""Knot maps for integer coordinates and the width-corrected density."""
+"""Knot maps for integer coordinates and the width-corrected density, which
+a one-axis ``GridTarget`` evaluates as its potential."""
 
 import numpy as np
 import pytest
 
-from dhmc import ContractError, EmbeddedPrior, EmbeddingMap, OutOfSupportError
+from dhmc import ContractError, EmbeddingMap, OutOfSupportError
+from dhmc.models import GridTarget
 
 
 def test_uniform_lookup_interior():
@@ -83,13 +85,14 @@ def test_partition_every_point_claimed_once():
 def test_density_integrates_to_total_mass():
     probs = np.array([0.2, 0.5, 0.3])
     for emap in (EmbeddingMap.uniform(1, 3), EmbeddingMap.logarithmic(1, 3)):
-        prior = EmbeddedPrior.from_probs(emap, probs)
+        model = GridTarget.from_probs(probs, emap)
         total = 0.0
         for k in range(emap.n_cells):
             # stay inside one cell: the density is constant there and the
             # left knot itself belongs to the previous cell
             grid = np.linspace(emap.knots[k] + 1e-9, emap.knots[k + 1], 200)
-            vals = np.array([np.exp(prior.log_density(x)) for x in grid])
+            vals = np.array([np.exp(-model.potential(np.array([x])))
+                             for x in grid])
             total += np.trapezoid(vals, grid)
         assert total == pytest.approx(probs.sum(), abs=1e-6)
 
@@ -103,19 +106,21 @@ def test_measure_preservation_within_cells():
 
 
 def test_log_density_values():
-    uni = EmbeddedPrior.from_probs(EmbeddingMap.uniform(1, 2), [0.5, 0.5])
-    assert uni.log_density(1.5) == pytest.approx(np.log(0.5))
+    # the embedded log density is -potential of a one-axis grid
+    uni = GridTarget.from_probs([0.5, 0.5], EmbeddingMap.uniform(1, 2))
+    assert -uni.potential(np.array([1.5])) == pytest.approx(np.log(0.5))
     log2 = float(np.log(2.0))
-    logm = EmbeddedPrior.from_probs(EmbeddingMap.logarithmic(1, 2), [0.5, 0.5])
-    assert logm.log_density(0.5 * log2) == pytest.approx(np.log(0.5 / log2))
-    assert logm.log_density(-1.0) == -np.inf
-    assert uni.log_density(0.5) == -np.inf
+    logm = GridTarget.from_probs([0.5, 0.5], EmbeddingMap.logarithmic(1, 2))
+    assert -logm.potential(np.array([0.5 * log2])) == pytest.approx(
+        np.log(0.5 / log2))
+    assert -logm.potential(np.array([-1.0])) == -np.inf
+    assert -uni.potential(np.array([0.5])) == -np.inf
 
 
 def test_zero_probability_cell_gets_minus_inf_density():
-    prior = EmbeddedPrior.from_probs(EmbeddingMap.uniform(1, 3), [0.5, 0.0, 0.5])
-    assert prior.log_density(2.5) == -np.inf
-    assert prior.log_density(1.5) == pytest.approx(np.log(0.5))
+    model = GridTarget.from_probs([0.5, 0.0, 0.5], EmbeddingMap.uniform(1, 3))
+    assert -model.potential(np.array([2.5])) == -np.inf
+    assert -model.potential(np.array([1.5])) == pytest.approx(np.log(0.5))
 
 
 def test_decode_vectorized():
@@ -164,11 +169,3 @@ def test_maps_are_frozen():
         emap.knots[0] = -1.0
     with pytest.raises(ValueError):
         emap.values[0] = 5
-
-
-def test_prior_validation():
-    emap = EmbeddingMap.uniform(1, 3)
-    with pytest.raises(ContractError):
-        EmbeddedPrior(emap=emap, log_pmf=np.zeros(2))
-    with pytest.raises(ContractError):
-        EmbeddedPrior(emap=emap, log_pmf=np.array([0.0, np.nan, 0.0]))

@@ -1,18 +1,15 @@
-"""Coordinate-wise, split (leapfrog with an empty sweep), and event-driven
-integrators."""
+"""Coordinate-wise and split (leapfrog with an empty sweep) integrators."""
 
 import numpy as np
 import pytest
 
 from dhmc import (ContractError, MassSpec, ModelError, PhaseState, SweepOrder,
-                  coord_step, coord_sweep, dhmc_step, gaussian_event_step,
-                  hamiltonian, kinetic_energy)
-from dhmc.embedding import EmbeddingMap
+                  coord_step, coord_sweep, dhmc_step)
 from dhmc.models import BananaTarget, GaussianTarget, GridTarget
 
 from conftest import (CoupledMix, FlatTarget, LinearSlope, SmoothStep,
                       StepBarrier, WalledGaussian, all_disc_state,
-                      all_smooth_state, fd_jacobian)
+                      all_smooth_state, fd_jacobian, hamiltonian)
 
 _EMPTY = np.array([], dtype=np.intp)
 _UNIT1 = MassSpec(m_disc=np.ones(1))
@@ -160,9 +157,9 @@ def test_sweep_preserves_hamiltonian_exactly():
         mass = MassSpec.diagonal([rng.uniform(0.5, 2.0)],
                                  [rng.uniform(0.5, 2.0)])
         st = PhaseState(theta, p, [0], [1])
-        h0 = hamiltonian(model, st, mass).hamiltonian
+        h0 = hamiltonian(model, st, mass)
         out = coord_sweep(model, st, _order(1), rng.uniform(0.01, 1.5), mass)
-        h1 = hamiltonian(model, out.state, mass).hamiltonian
+        h1 = hamiltonian(model, out.state, mass)
         assert abs(h1 - h0) <= 1e-10 * (1.0 + abs(h0))
 
 
@@ -174,9 +171,9 @@ def test_sweep_preserves_hamiltonian_at_walls():
         theta = np.array([rng.uniform(1.0 + 1e-6, 2.0)])
         p = rng.laplace(size=1)
         st = all_disc_state(theta, p)
-        h0 = hamiltonian(model, st, mass).hamiltonian
+        h0 = hamiltonian(model, st, mass)
         out = coord_sweep(model, st, _order(0), rng.uniform(0.05, 3.0), mass)
-        h1 = hamiltonian(model, out.state, mass).hamiltonian
+        h1 = hamiltonian(model, out.state, mass)
         assert np.isfinite(h1)
         assert abs(h1 - h0) <= 1e-10 * (1.0 + abs(h0))
 
@@ -255,8 +252,8 @@ def test_dhmc_step_pure_smooth_is_velocity_verlet():
     mass = MassSpec.diagonal([1.0], [])
     st = all_smooth_state([1.0], [0.0])
     out = dhmc_step(model, st, 0.1, mass, SweepOrder(_EMPTY))
-    h0 = hamiltonian(model, st, mass).hamiltonian
-    h1 = hamiltonian(model, out.state, mass).hamiltonian
+    h0 = hamiltonian(model, st, mass)
+    h1 = hamiltonian(model, out.state, mass)
     assert abs(h1 - h0) <= 1e-4
     # no sweep in between: kick, one full drift, kick, bit for bit.
     p = st.p - 0.05 * model.grad_smooth(st.theta)
@@ -275,9 +272,9 @@ def test_dhmc_step_smooth_local_error_order():
     errs = []
     for eps in epss:
         st = PhaseState([1.0, -0.5], [0.3, 0.7], [0, 1], [])
-        h0 = hamiltonian(model, st, mass).hamiltonian
+        h0 = hamiltonian(model, st, mass)
         out = dhmc_step(model, st, eps, mass, order)
-        errs.append(abs(hamiltonian(model, out.state, mass).hamiltonian - h0))
+        errs.append(abs(hamiltonian(model, out.state, mass) - h0))
     slope = np.polyfit(np.log(epss), np.log(errs), 1)[0]
     assert slope >= 2.7
 
@@ -292,10 +289,10 @@ def test_dhmc_step_discontinuity_local_error_order():
     errs = []
     for eps in epss:
         st = PhaseState([0.9, 2.0 - 0.4 * eps], [0.35, 2.0], [0], [1])
-        h0 = hamiltonian(model, st, mass).hamiltonian
+        h0 = hamiltonian(model, st, mass)
         out = dhmc_step(model, st, eps, mass, order)
         assert out.state.theta[1] > 2.0
-        errs.append(abs(hamiltonian(model, out.state, mass).hamiltonian - h0))
+        errs.append(abs(hamiltonian(model, out.state, mass) - h0))
     slope = np.polyfit(np.log(epss), np.log(errs), 1)[0]
     assert slope >= 1.8
 
@@ -333,12 +330,12 @@ def test_leapfrog_harmonic_energy_drift():
     mass = MassSpec.diagonal([1.0], [])
     eps = 0.01
     st = all_smooth_state([1.0], [0.0])
-    h0 = hamiltonian(model, st, mass).hamiltonian
+    h0 = hamiltonian(model, st, mass)
     n = int(round(100.0 * np.pi / eps))
     worst = 0.0
     for _ in range(n):
         st = leapfrog_step(model, st, eps, mass).state
-    worst = abs(hamiltonian(model, st, mass).hamiltonian - h0)
+    worst = abs(hamiltonian(model, st, mass) - h0)
     assert worst <= 1e-3
 
 
@@ -380,10 +377,10 @@ def test_leapfrog_error_stays_order_one_at_jump():
     mass = MassSpec.diagonal([1.0], [])
     for eps in [0.1, 0.05, 0.025]:
         st = all_smooth_state([0.99], [2.0])
-        h0 = hamiltonian(model, st, mass).hamiltonian
+        h0 = hamiltonian(model, st, mass)
         out = leapfrog_step(model, st, eps, mass)
         assert out.state.theta[0] > 1.0
-        dh = hamiltonian(model, out.state, mass).hamiltonian - h0
+        dh = hamiltonian(model, out.state, mass) - h0
         assert abs(dh) >= 0.5
 
 
@@ -430,115 +427,3 @@ def test_sweep_order_reversal_symmetry_frequencies():
         c_rev = counts[perm[::-1]]
         # difference of two ~Bin(1e5, 1/6) counts: 4 sigma ~ 670
         assert abs(c - c_rev) <= 700
-
-
-# ------------------------------------------------------- gaussian_event_step
-
-
-def _line_grid(cell_potentials, knots=None):
-    n = len(cell_potentials)
-    if knots is None:
-        emap = EmbeddingMap.uniform(0, n - 1)
-    else:
-        emap = EmbeddingMap(np.asarray(knots, float), np.arange(n, dtype=float))
-    return GridTarget([emap], -np.asarray(cell_potentials, dtype=float))
-
-
-def test_event_step_refracts_through_affordable_barrier():
-    model = _line_grid([0.0, 1.5])
-    out = gaussian_event_step(model, all_disc_state([0.5], [2.0]), 0.5)
-    assert out.state.theta[0] == pytest.approx(1.25)
-    assert out.state.p[0] == pytest.approx(1.0)
-    assert out.events == 1
-    assert out.flips == 0
-    assert out.potential_evals == 2
-
-
-def test_event_step_reflects_at_tall_barrier():
-    model = _line_grid([0.0, 1.5])
-    out = gaussian_event_step(model, all_disc_state([0.5], [1.0]), 0.7)
-    assert out.state.theta[0] == pytest.approx(0.8)
-    assert out.state.p[0] == -1.0
-    assert out.events == 1
-    assert out.flips == 1
-
-
-def test_event_step_free_flight_counts_one_eval():
-    emap = EmbeddingMap(np.array([0.0, 10.0]), np.array([1.0]))
-    model = GridTarget([emap, emap], np.zeros((1, 1)))
-    out = gaussian_event_step(model, all_disc_state([3.0, 4.0], [1.0, 1.0]),
-                              2.7)
-    np.testing.assert_allclose(out.state.theta, [5.7, 6.7])
-    np.testing.assert_array_equal(out.state.p, [1.0, 1.0])
-    assert out.events == 0
-    assert out.potential_evals == 1
-
-
-def test_event_step_simultaneous_crossings_resolve_by_axis():
-    emap = EmbeddingMap.uniform(0, 1)  # knots 0, 1, 2
-    table = np.array([[0.0, 5.0], [0.3, 0.4]])
-    model = GridTarget([emap, emap], -table)
-    out = gaussian_event_step(model, all_disc_state([0.5, 0.5], [1.0, 1.0]),
-                              0.6)
-    # both axes reach the interior boundary at t = 0.5; axis 0 goes first,
-    # paying 0.3, then axis 1 pays only the 0.4 - 0.3 difference.
-    np.testing.assert_allclose(out.state.p, np.sqrt([0.4, 0.8]))
-    np.testing.assert_allclose(out.state.theta,
-                               1.0 + 0.1 * np.sqrt([0.4, 0.8]))
-    assert out.events == 2
-    assert out.flips == 0
-
-
-def test_event_step_outer_walls_reflect():
-    model = _line_grid([0.0, 0.0])
-    out = gaussian_event_step(model, all_disc_state([1.5], [1.0]), 1.0)
-    assert out.state.theta[0] == pytest.approx(1.5)
-    assert out.state.p[0] == -1.0
-    assert out.events == 1
-    assert out.flips == 1
-    assert out.potential_evals == 1  # wall costs no table lookup
-
-
-def test_event_step_preserves_energy_over_many_events():
-    rng = np.random.default_rng(31)
-    table = rng.uniform(0.0, 2.0, size=(3, 3))
-    table[1, 2] = np.inf
-    emap = EmbeddingMap.uniform(0, 2)  # knots 0..3
-    model = GridTarget([emap, emap], -table)
-    for _ in range(100):
-        theta = rng.uniform(0.01, 2.99, size=2)
-        cells = (int(theta[0]), int(theta[1]))
-        if not np.isfinite(table[cells]):
-            continue
-        p = rng.normal(scale=2.0, size=2)
-        if p[0] == 0.0 or p[1] == 0.0:
-            continue
-        st = all_disc_state(theta, p)
-        h0 = table[cells] + 0.5 * float(p @ p)
-        out = gaussian_event_step(model, st, float(rng.uniform(0.5, 4.0)))
-        th, ph = out.state.theta, out.state.p
-        # classify the final cell by nudging forward along the motion so a
-        # boundary-exact finish lands on the correct side
-        probe = th + 1e-9 * ph
-        c1 = (model.axis_maps[0].cell_of(probe[0]),
-              model.axis_maps[1].cell_of(probe[1]))
-        h1 = table[c1] + 0.5 * float(ph @ ph)
-        assert abs(h1 - h0) <= 1e-10 * (1.0 + abs(h0))
-
-
-def test_event_step_requires_grid_model():
-    with pytest.raises(ContractError):
-        gaussian_event_step(FlatTarget(dim=1), all_disc_state([0.0], [1.0]),
-                            0.5)
-    model = _line_grid([0.0, 1.0])
-    with pytest.raises(ContractError):
-        gaussian_event_step(model, all_disc_state([0.5], [1.0]), 0.0)
-    with pytest.raises(ContractError):
-        gaussian_event_step(model, all_disc_state([0.5, 0.5], [1.0, 1.0]),
-                            0.5)
-
-
-def test_event_step_rejects_infinite_start():
-    model = _line_grid([0.0, np.inf])
-    with pytest.raises(ContractError):
-        gaussian_event_step(model, all_disc_state([1.5], [1.0]), 0.5)

@@ -6,7 +6,9 @@
 - ``potential_diff`` is a pure function of its arguments;
 - ``grad_smooth`` matches central finite differences;
 - a proposed value off the support gives ``+inf`` from both the
-  ``potential`` and the ``potential_diff`` path, never an exception or NaN.
+  ``potential`` and the ``potential_diff`` path, never an exception or NaN;
+- ``grad_smooth`` at a point off the support, where the contract does not
+  call it, raises ``ContractError``.
 """
 
 import math
@@ -14,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from dhmc import SamplerConfig, run_chain
+from dhmc import ContractError, SamplerConfig, run_chain
 from dhmc.embedding import EmbeddingMap
 from dhmc.models import GridTarget, build_model
 
@@ -224,9 +226,12 @@ def _off_support(name, model, theta):
     if name == "arch_cp":
         first = model._n_smooth
         knots = model.tau_map.knots
+        log_sigma_a = 4 * model.k_max + 2
         return [(first, knots[0] - 1.0), (first + 1, knots[-1] + 0.5),
                 (first, theta[first + 1]),  # onto the next change point
-                (first + 1, theta[first] - 1.0)]  # past the previous one
+                (first + 1, theta[first] - 1.0),  # past the previous one
+                # exp(800) overflows a float: a scale beyond the float range
+                (log_sigma_a, 800.0), (log_sigma_a + 1, 800.0)]
     raise KeyError(name)
 
 
@@ -247,6 +252,15 @@ def test_off_support_is_inf_on_both_paths(name):
         assert model.potential(moved) == np.inf, (j, value)
         if model.potential_diff is not None:
             assert model.potential_diff(theta, j, value) == np.inf, (j, value)
+
+
+def test_arch_cp_gradient_at_an_overflowing_scale_is_a_contract_error():
+    model = small_arch_cp()
+    theta = model.initial_theta(np.random.default_rng(1))
+    theta[4 * model.k_max + 3] = 800.0  # log_sigma_b
+    assert model.potential(theta) == np.inf
+    with pytest.raises(ContractError, match="off support"):
+        model.grad_smooth(theta)
 
 
 @pytest.mark.parametrize("name", sorted(set(MODELS) - set(BOUNDED)))

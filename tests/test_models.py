@@ -16,7 +16,7 @@ from dhmc.models import (Ar1Target, ArchChangePointTarget, BananaTarget,
                          population_draws, save_classification, save_series,
                          save_stats, simulate_capture_recapture,
                          survival_chi, synth_arch_series,
-                         synth_classification, synth_data)
+                         synth_classification)
 
 from conftest import fd_grad
 
@@ -80,15 +80,15 @@ def test_grid_two_axes_width_correction():
     mass = np.array([[0.1, 0.2], [0.3, 0.4]])
     model = GridTarget([m0, m1], np.log(mass))
     # density = mass / cell volume, so the wide axis-1 cell pays log 2.
-    assert model.cell_potential((0, 1)) == pytest.approx(
-        -np.log(0.2) + np.log(2.0))
     assert model.potential(np.array([1.5, 2.0])) == pytest.approx(
-        model.cell_potential((0, 1)))
+        -np.log(0.2) + np.log(2.0))
     np.testing.assert_allclose(model.exact_pmf(), mass)
 
 
 def test_grid_diff_off_support_theta_raises():
+    # potential_diff is only called where the potential is finite
     model = GridTarget.from_probs([0.5, 0.5])
+    assert model.potential(np.array([0.5])) == np.inf
     with pytest.raises(ContractError):
         model.potential_diff(np.array([0.5]), 0, 1.5)
 
@@ -739,9 +739,8 @@ def _fuzz_cases():
         for i, em in enumerate(m.axis_maps):
             if not em.contains(t[i]):
                 return False
-        return np.isfinite(m.cell_potential([em.cell_of(t[i])
-                                             for i, em in
-                                             enumerate(m.axis_maps)]))
+        cells = tuple(em.cell_of(t[i]) for i, em in enumerate(m.axis_maps))
+        return m.exact_pmf()[cells] > 0
 
     def binom_ok(m, t):
         return m.emap.contains(t[0])
@@ -826,16 +825,3 @@ def test_build_model_loads_data_files(tmp_path):
     save_stats(sp, stats)
     model = build_model("jolly_seber", {"n_max": 200}, data_path=str(sp))
     np.testing.assert_array_equal(model.stats.u, stats.u)
-
-
-def test_synth_data_kinds():
-    rng = np.random.default_rng(0)
-    (X, y), truth = synth_data("classification", rng, n=20, k=3)
-    assert X.shape == (20, 3) and "beta" in truth
-    yv, truth = synth_data("arch_series", np.random.default_rng(0), T=30)
-    assert len(yv) == 30 and truth["change_t"] == 15
-    stats, truth = synth_data("capture_recapture", np.random.default_rng(0),
-                              u1=20, p=[0.5, 0.5], phi=[0.8])
-    assert stats.T == 2 and len(truth["U"]) == 2
-    with pytest.raises(ContractError):
-        synth_data("images", rng)

@@ -347,7 +347,7 @@ def test_run_chain_two_seeds_agree_and_match_cell_weights():
                             path_len=3, seed=seed)
         st = run_chain(cm, None, cfg)
         assert st.divergences == 0
-        means.append(st.column(0).mean())
+        means.append(st.draws[:, 0].mean())
         assert abs(means[-1]) <= 0.05
         cells = st.decoded_column(1)
         freq = np.array([(cells == v).mean() for v in st.embeddings[1].values])
@@ -411,10 +411,9 @@ def test_store_decodes_embedded_columns():
     store = run_chain(cm, None, cfg)
     emap = store.embeddings[1]
     np.testing.assert_array_equal(store.decoded_column(1),
-                                  emap.decode(store.column(1)).astype(float))
-    np.testing.assert_array_equal(store.decoded_draws()[:, 0], store.column(0))
-    assert store.n_samples == 40 and store.dim == 2
-    assert store.seed == 6
+                                  emap.decode(store.draws[:, 1]).astype(float))
+    np.testing.assert_array_equal(store.decoded_column(0), store.draws[:, 0])
+    assert store.n_samples == 40 and store.draws.shape == (40, 2)
 
 
 # ------------------------------------------------------- the trajectory core

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dhmc import (ContractError, KernelTrace, PhaseState, SamplerConfig,
-                  TuneState, adapt_stepsize, dhmc_transition, flip_statistic)
+from dhmc import (ContractError, KernelTrace, SampleStore, SamplerConfig,
+                  TuneState, adapt_stepsize, dhmc_transition)
 from dhmc.models import Ar1Target, GridTarget
 from dhmc.tuning import mass_from_state
 
@@ -17,21 +17,18 @@ def _trace(flips, updates):
                        coord_updates=updates)
 
 
-# ------------------------------------------------------------ flip_statistic
+def _move_fraction(traces):
+    store = SampleStore(names=[], draws=np.empty((0, 0)), traces=traces)
+    return store.move_fraction()
 
 
-def test_flip_statistic_weights_by_update_totals():
+# ------------------------------------------------------------- move fraction
+
+
+def test_move_fraction_weights_by_update_totals():
     traces = [_trace(1, 2), _trace(0, 8)]
     # totals: 1 flip over 10 updates, not the mean of (0.5, 1.0)
-    assert flip_statistic(traces) == pytest.approx(0.9)
-
-
-def test_flip_statistic_total_override_and_empty():
-    assert flip_statistic([_trace(1, 2)], total_updates=4) == pytest.approx(0.75)
-    with pytest.raises(ContractError):
-        flip_statistic([_trace(0, 0)])
-    with pytest.raises(ContractError):
-        flip_statistic([])
+    assert _move_fraction(traces) == pytest.approx(0.9)
 
 
 def test_flat_target_never_flips():
@@ -43,7 +40,7 @@ def test_flat_target_never_flips():
     for _ in range(50):
         state, trace = dhmc_transition(model, state, cfg, rng)
         traces.append(trace)
-    assert flip_statistic(traces) == 1.0
+    assert _move_fraction(traces) == 1.0
 
 
 def test_single_cell_target_always_flips():
@@ -57,7 +54,7 @@ def test_single_cell_target_always_flips():
     for _ in range(50):
         state, trace = dhmc_transition(model, state, cfg, rng)
         traces.append(trace)
-    assert flip_statistic(traces) == 0.0
+    assert _move_fraction(traces) == 0.0
 
 
 # ------------------------------------------------------------ adapt_stepsize
