@@ -159,7 +159,11 @@ class TargetModel:
       where ``potential(theta)`` is finite; elsewhere its result is undefined
       and it may raise ``ContractError``.  It must be a pure function of its
       arguments: it leaves ``theta`` unchanged and keeps no state between
-      calls.
+      calls.  The coordinate sweep passes ``j`` as an int and ``value`` as a
+      Python float, and ``theta`` as the float array it updates; a cheap diff
+      should read ``theta.item(j)`` so that its arithmetic stays on Python
+      floats, which is faster than numpy scalars and gives the same IEEE
+      results.
 
     ``embeddings`` maps a coordinate index to the EmbeddingMap that decodes it
     back to an integer; coordinates absent from the dict are genuinely

@@ -68,9 +68,6 @@ class SweepOrder:
         # copy up front: permutation chokes on empty read-only input
         return cls(perm=rng.permutation(np.array(disc_idx, dtype=np.intp)))
 
-    def reversed(self) -> "SweepOrder":
-        return SweepOrder(perm=self.perm[::-1])
-
 
 def _mass_lookup(mass: MassSpec, disc_idx: np.ndarray, d: int):
     """Full-length mass and inverse-mass arrays indexed by coordinate."""
@@ -82,27 +79,42 @@ def _mass_lookup(mass: MassSpec, disc_idx: np.ndarray, d: int):
 def _sweep_inplace(model, theta, p, order, eps, m_by, minv_by):
     """Run coordinate updates in ``order``, mutating theta and p.
 
+    ``theta``, ``p``, ``m_by`` and ``minv_by`` are float arrays indexed by
+    coordinate, ``order`` an integer array.  With a ``potential_diff`` the
+    sweep runs on Python scalars: ``p``, the masses and ``order`` are read
+    as lists once, ``theta`` is read with ``theta.item(j)`` and written on
+    every move (the diff reads it), and ``p`` is written back once at the
+    end, so a sweep that raises leaves ``p`` as it was.  The diff gets ``j``
+    as an int and ``value`` as a Python float; IEEE arithmetic makes every
+    result bit-identical to numpy scalars.
+
     Returns (flips, potential_evals).  Precondition: potential(theta) finite.
     """
     flips = 0
     evals = 0
     diff = model.potential_diff
     if diff is not None:
-        for j in order:
-            pj = p[j]
+        eps = float(eps)
+        pl = p.tolist()
+        m_l = m_by.tolist()
+        minv_l = minv_by.tolist()
+        item = theta.item
+        for j in order.tolist():
+            pj = pl[j]
             s = 1.0 if pj >= 0 else -1.0
-            minv = minv_by[j]
-            new = theta[j] + eps * s * minv
+            minv = minv_l[j]
+            new = item(j) + eps * s * minv
             du = diff(theta, j, new)
             evals += 1
             if du != du:
                 raise ModelError(f"{model.name} returned NaN potential_diff")
             if abs(pj) * minv > du:
                 theta[j] = new
-                p[j] = pj - s * m_by[j] * du
+                pl[j] = pj - s * m_l[j] * du
             else:
-                p[j] = -pj
+                pl[j] = -pj
                 flips += 1
+        p[:] = pl
     else:
         pot = model.potential
         for j in order:

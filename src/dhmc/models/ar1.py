@@ -60,11 +60,11 @@ class Ar1Target(TargetModel):
         return g
 
     def potential_diff(self, theta, j, value):
-        tj = theta[j]
+        tj = theta.item(j)
         delta = value - tj
         last = self.dim - 1
-        left = theta[j - 1] if j > 0 else 0.0
-        right = theta[j + 1] if j < last else 0.0
+        left = theta.item(j - 1) if j > 0 else 0.0
+        right = theta.item(j + 1) if j < last else 0.0
         qjj = self._q_int if 0 < j < last else self._q_end
         qtheta_j = qjj * tj - self._sa * (left + right)
         return delta * qtheta_j + 0.5 * delta * delta * qjj

@@ -152,9 +152,13 @@ class ArchChangePointTarget(TargetModel):
                 return float("inf")
             eta_a, eta_b = np.exp(lea), np.exp(leb)
             for delta, s, eta in ((da, sa, eta_a), (db, sb, eta_b)):
-                scale = s * eta
+                # An infinite scale makes the potential +inf; an infinite
+                # square only drops a vanishing prior term.
+                with np.errstate(over="ignore"):
+                    scale = s * eta
+                    scale2 = scale ** 2
                 pot += np.sum(np.log(scale) + 0.5 * _LOG_2PI
-                              + 0.5 * delta ** 2 / scale ** 2)
+                              + 0.5 * delta ** 2 / scale2)
             pot += np.sum(_half_cauchy_log_terms(lea))
             pot += np.sum(_half_cauchy_log_terms(leb))
         pot += _half_cauchy_log_terms(lsa) + _half_cauchy_log_terms(lsb)
@@ -224,8 +228,9 @@ class ArchChangePointTarget(TargetModel):
             except OverflowError:
                 raise ContractError("gradient queried off support") from None
             eta_a, eta_b = np.exp(lea), np.exp(leb)
-            va = (sa * eta_a) ** 2
-            vb = (sb * eta_b) ** 2
+            with np.errstate(over="ignore"):
+                va = (sa * eta_a) ** 2
+                vb = (sb * eta_b) ** 2
             # d/d delta_m: likelihood through all later segments plus prior.
             g[2:2 + K] = np.cumsum(aw[::-1])[::-1][1:] + da / va
             g[2 + K:2 + 2 * K] = np.cumsum(bw[::-1])[::-1][1:] + db / vb

@@ -76,7 +76,7 @@ class BinomialNTarget(TargetModel):
     def potential_diff(self, theta, j, value):
         if not self.emap.contains(value):
             return float("inf")
-        k0 = self.emap.cell_of(theta[0])
+        k0 = self.emap.cell_of(theta.item(0))
         k1 = self.emap.cell_of(value)
         if k0 == k1:
             return 0.0

@@ -50,9 +50,6 @@ class GenBayesTarget(TargetModel):
     def param_names(self):
         return [f"beta{i}" for i in range(self.k)]
 
-    def misclassification_count(self, beta) -> int:
-        return int(np.count_nonzero(self._yx @ beta < 0.0))
-
     def potential(self, theta):
         margins = self._yx @ theta
         loss = np.count_nonzero(margins < 0.0)

@@ -51,7 +51,7 @@ class GaussianTarget(TargetModel):
         return (theta - self.mean) * self._ivar
 
     def potential_diff(self, theta, j, value):
-        z0 = theta[j] - self.mean[j]
+        z0 = theta.item(j) - self.mean[j]
         z1 = value - self.mean[j]
         return float(0.5 * self._ivar[j] * (z1 * z1 - z0 * z0))
 
@@ -114,9 +114,10 @@ class GridTarget(TargetModel):
     def _cells(self, theta):
         cells = []
         for i, m in enumerate(self.axis_maps):
-            if not m.contains(theta[i]):
+            x = theta.item(i)
+            if not m.contains(x):
                 return None
-            cells.append(m.cell_of(theta[i]))
+            cells.append(m.cell_of(x))
         return tuple(cells)
 
     def potential(self, theta):

@@ -149,7 +149,8 @@ def test_02_reversibility_and_volume():
                 continue
 
             back_start = PhaseState(end.theta, -end.p, cm.smooth_idx, cm.disc_idx)
-            back = dhmc_step(cm, back_start, eps, mass, order.reversed()).state
+            back = dhmc_step(cm, back_start, eps, mass,
+                             SweepOrder(perm=order.perm[::-1])).state
             np.testing.assert_allclose(back.theta, theta, atol=1e-9)
             np.testing.assert_allclose(-back.p, p, atol=1e-9)
 

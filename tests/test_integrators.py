@@ -5,11 +5,13 @@ import pytest
 
 from dhmc import (ContractError, MassSpec, ModelError, PhaseState, SweepOrder,
                   coord_step, coord_sweep, dhmc_step)
-from dhmc.models import BananaTarget, GaussianTarget, GridTarget
+from dhmc.integrators import _mass_lookup, _sweep_inplace
+from dhmc.models import BananaTarget, GaussianTarget, GridTarget, build_model
 
 from conftest import (CoupledMix, FlatTarget, LinearSlope, SmoothStep,
                       StepBarrier, WalledGaussian, all_disc_state,
-                      all_smooth_state, fd_jacobian, hamiltonian)
+                      all_smooth_state, fd_jacobian, hamiltonian,
+                      small_arch_cp, small_jolly_seber)
 
 _EMPTY = np.array([], dtype=np.intp)
 _UNIT1 = MassSpec(m_disc=np.ones(1))
@@ -188,7 +190,7 @@ def test_sweep_reversibility():
         st = PhaseState(theta, p, [0], [1])
         fwd = coord_sweep(model, st, _order(1), 0.37, mass)
         flipped = PhaseState(fwd.state.theta, -fwd.state.p, [0], [1])
-        back = coord_sweep(model, flipped, _order(1).reversed(), 0.37, mass)
+        back = coord_sweep(model, flipped, _order(1), 0.37, mass)
         np.testing.assert_allclose(back.state.theta, st.theta, atol=1e-9)
         np.testing.assert_allclose(-back.state.p, st.p, atol=1e-9)
 
@@ -229,6 +231,144 @@ def test_bounce_branch_determinant_is_minus_one():
 
     jac = fd_jacobian(step, np.array([0.8, 1.0]), h=1e-6)
     assert abs(np.linalg.det(jac) + 1.0) <= 1e-5
+
+
+# ------------------------------------- the sweep's scalar fast path, bitwise
+
+
+def _reference_sweep(model, theta, p, order, eps, m_by, minv_by):
+    """The per-update loop on numpy scalars that ``_sweep_inplace`` replaces."""
+    flips = 0
+    evals = 0
+    for j in order:
+        pj = p[j]
+        s = 1.0 if pj >= 0 else -1.0
+        minv = minv_by[j]
+        new = theta[j] + eps * s * minv
+        du = model.potential_diff(theta, j, new)
+        evals += 1
+        if du != du:
+            raise ModelError(f"{model.name} returned NaN potential_diff")
+        if abs(pj) * minv > du:
+            theta[j] = new
+            p[j] = pj - s * m_by[j] * du
+        else:
+            p[j] = -pj
+            flips += 1
+    return flips, evals
+
+
+class _WallAt:
+    """A model whose diff is ``+inf`` at one coordinate, so it always bounces.
+
+    It also records the types the sweep passes as ``j`` and ``value``.
+    """
+
+    def __init__(self, model, wall):
+        self.model = model
+        self.name = model.name
+        self.wall = wall
+        self.arg_types = set()
+
+    def potential_diff(self, theta, j, value):
+        self.arg_types.add((type(j), type(value)))
+        if j == self.wall:
+            return float("inf")
+        return self.model.potential_diff(theta, j, value)
+
+
+# The coordinates each model is swept over: every coordinate of the models
+# that dhmc_coordwise sweeps whole, the U counts of jolly_seber and the
+# change points of arch_cp.
+_SWEPT = {
+    "ar1": lambda: build_model("ar1", {"dim": 8}),
+    "gaussian": lambda: build_model("gaussian", {"dim": 4, "mean": 0.5,
+                                                 "sd": [1.0, 2.0, 0.5, 3.0]}),
+    "pmf": lambda: build_model("pmf", {"probs": [0.1, 0.2, 0.3, 0.25, 0.15]}),
+    "binomial_n": lambda: build_model("binomial_n", {"n_max": 30}),
+    "gen_bayes": lambda: build_model("gen_bayes", {"n": 40, "k": 5},
+                                     synth_seed=1),
+    "jolly_seber": small_jolly_seber,
+    "arch_cp": small_arch_cp,
+}
+
+
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("name", sorted(_SWEPT))
+def test_sweep_fast_path_is_bitwise_the_scalar_loop(name, wall):
+    model = _SWEPT[name]()
+    rng = np.random.default_rng(sorted(_SWEPT).index(name))
+    idx = model.disc_idx if len(model.disc_idx) else np.arange(model.dim)
+    theta = model.initial_theta(rng)
+    assert np.isfinite(model.potential(theta))
+    p = 3.0 * rng.laplace(size=model.dim)
+    # signed zeros take the sign(0) = +1 branch; a 1-d model gets them at
+    # the start of its second and third sweeps
+    zeros = [0.0, -0.0]
+    for k, j in enumerate(idx[1:3] if len(idx) > 2 else []):
+        p[j] = zeros[k]
+    mass = MassSpec(m_disc=rng.uniform(0.5, 2.0, size=len(idx)))
+    m_by, minv_by = _mass_lookup(mass, idx, model.dim)
+    target = _WallAt(model, int(idx[0]) if wall else -1)
+    start = theta.copy()
+    ref_theta, ref_p = theta.copy(), p.copy()
+    moves = 0
+    for sweep in range(40):
+        if len(idx) == 1 and sweep in (1, 2):
+            ref_p[idx[0]] = p[idx[0]] = zeros[sweep - 1]
+        order = rng.permutation(idx)
+        eps = float(rng.uniform(0.2, 1.5))
+        before = theta.copy()
+        want = _reference_sweep(target, ref_theta, ref_p, order, eps,
+                                m_by, minv_by)
+        got = _sweep_inplace(target, theta, p, order, eps, m_by, minv_by)
+        assert got == want
+        assert theta.tobytes() == ref_theta.tobytes()
+        assert p.tobytes() == ref_p.tobytes()
+        moves += int(np.count_nonzero(theta != before))
+    if wall:
+        assert theta[idx[0]] == start[idx[0]]
+    assert moves > 0 or (wall and len(idx) == 1)
+    fast_types = {t for t in target.arg_types if t[1] is float}
+    assert fast_types == {(int, float)}
+
+
+@pytest.mark.parametrize("make", [small_jolly_seber, small_arch_cp, CoupledMix])
+def test_mixed_dhmc_step_keeps_smooth_momenta_bitwise(make):
+    # The sweep writes p back whole; the smooth entries must come out exactly
+    # as the kick set them, and the whole step as the scalar loop gives it.
+    model = make()
+    rng = np.random.default_rng(4)
+    smooth, disc = model.smooth_idx, model.disc_idx
+    mass = MassSpec(m_disc=rng.uniform(0.5, 2.0, size=len(disc)),
+                    diag_smooth=rng.uniform(0.5, 2.0, size=len(smooth)))
+    m_by, minv_by = _mass_lookup(mass, disc, model.dim)
+    for _ in range(20):
+        theta = model.initial_theta(rng)
+        p = np.empty(model.dim)
+        p[smooth] = rng.standard_normal(len(smooth))
+        p[disc] = rng.laplace(size=len(disc))
+        eps = float(rng.uniform(0.01, 0.1))
+        order = SweepOrder.draw(rng, disc)
+        out = dhmc_step(model, PhaseState(theta, p, smooth, disc), eps, mass,
+                        order)
+        assert not out.diverged
+        half = 0.5 * eps
+        ref_theta, ref_p = theta.copy(), p.copy()
+        ref_p[smooth] -= half * model.grad_smooth(ref_theta)
+        ref_theta[smooth] += half * mass.smooth_velocity(ref_p[smooth])
+        kicked = ref_p[smooth].copy()
+        swept_p = ref_p.copy()
+        _sweep_inplace(model, ref_theta.copy(), swept_p, order.perm, eps,
+                       m_by, minv_by)
+        assert swept_p[smooth].tobytes() == kicked.tobytes()
+        flips, _ = _reference_sweep(model, ref_theta, ref_p, order.perm, eps,
+                                    m_by, minv_by)
+        assert flips == out.flips
+        ref_theta[smooth] += half * mass.smooth_velocity(ref_p[smooth])
+        ref_p[smooth] -= half * model.grad_smooth(ref_theta)
+        assert out.state.theta.tobytes() == ref_theta.tobytes()
+        assert out.state.p.tobytes() == ref_p.tobytes()
 
 
 # ---------------------------------------------------------------- dhmc_step
@@ -307,7 +447,7 @@ def test_dhmc_step_reversible_on_mixed_target():
         st = PhaseState(theta, p, [0], [1])
         fwd = dhmc_step(model, st, 0.23, mass, _order(1))
         flipped = PhaseState(fwd.state.theta, -fwd.state.p, [0], [1])
-        back = dhmc_step(model, flipped, 0.23, mass, _order(1).reversed())
+        back = dhmc_step(model, flipped, 0.23, mass, _order(1))
         np.testing.assert_allclose(back.state.theta, st.theta, atol=1e-9)
         np.testing.assert_allclose(-back.state.p, st.p, atol=1e-9)
 
@@ -409,9 +549,11 @@ def test_sweep_order_draw_and_reverse():
     rng = np.random.default_rng(0)
     order = SweepOrder.draw(rng, [3, 5, 9])
     assert sorted(order.perm.tolist()) == [3, 5, 9]
-    np.testing.assert_array_equal(order.reversed().perm, order.perm[::-1])
-    with pytest.raises(ValueError):
-        order.perm[0] = 1
+    back = SweepOrder(perm=order.perm[::-1])
+    assert back.perm.tolist() == order.perm.tolist()[::-1]
+    for perm in (order.perm, back.perm):
+        with pytest.raises(ValueError):
+            perm[0] = 1
     with pytest.raises(ContractError):
         SweepOrder(np.zeros((2, 2), dtype=np.intp))
 

@@ -12,6 +12,7 @@
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,27 @@ def test_arch_cp_gradient_at_an_overflowing_scale_is_a_contract_error():
     assert model.potential(theta) == np.inf
     with pytest.raises(ContractError, match="off support"):
         model.grad_smooth(theta)
+
+
+@pytest.mark.parametrize("log_eta, finite", [(5.0, True), (20.0, False)])
+def test_arch_cp_overflowing_scale_squares_are_silent(log_eta, finite):
+    # sigma_a = e^700 stays below math.exp's limit; at log_eta = 5 only the
+    # squared scale overflows, at 20 the scale sigma_a * eta_a itself does.
+    model = small_arch_cp()
+    K = model.k_max
+    theta = model.initial_theta(np.random.default_rng(1))
+    theta[2 + 4 * K] = 700.0  # log_sigma_a
+    theta[2 + 2 * K:2 + 3 * K] = log_eta  # log_eta_a
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = model.potential(theta)
+        assert (math.isfinite(u) if finite else u == np.inf), u
+        try:
+            g = model.grad_smooth(theta)
+        except ContractError:
+            pass
+        else:
+            assert np.all(np.isfinite(g)), g
 
 
 @pytest.mark.parametrize("name", sorted(set(MODELS) - set(BOUNDED)))

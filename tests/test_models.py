@@ -265,22 +265,22 @@ def test_gen_bayes_zero_beta_has_zero_loss():
     X, y, _ = synth_classification(np.random.default_rng(0), n=50, k=4)
     model = GenBayesTarget(X, y)
     beta = np.zeros(4)
-    assert model.misclassification_count(beta) == 0
+    assert np.count_nonzero(model._yx @ beta < 0) == 0
     assert model.potential(beta) == 0.0
 
 
 def test_gen_bayes_single_datum():
     model = GenBayesTarget(np.array([[1.0]]), np.array([1.0]))
-    assert model.misclassification_count(np.array([-2.0])) == 1
+    assert np.count_nonzero(model._yx @ np.array([-2.0]) < 0) == 1
     assert model.potential(np.array([-2.0])) == pytest.approx(3.0)
-    assert model.misclassification_count(np.array([2.0])) == 0
+    assert np.count_nonzero(model._yx @ np.array([2.0]) < 0) == 0
 
 
 def test_gen_bayes_separable_direction():
     X, y, beta = synth_classification(np.random.default_rng(1), n=80, k=6)
     model = GenBayesTarget(X, y)
-    assert model.misclassification_count(beta) == 0
-    assert model.misclassification_count(-beta) == 80
+    assert np.count_nonzero(model._yx @ beta < 0) == 0
+    assert np.count_nonzero(model._yx @ -beta < 0) == 80
 
 
 def test_gen_bayes_diff_matches_full():
