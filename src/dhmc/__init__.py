@@ -18,20 +18,17 @@ from .diagnostics import (ChainSummary, EssReport, batch_means_ess,
 from .embedding import EmbeddingMap
 from .integrators import (StepOutcome, SweepOrder, coord_step, coord_sweep,
                           dhmc_step)
-from .samplers import (KERNELS, KernelTrace, SamplerConfig, SampleStore,
-                       dhmc_transition, hmc_transition, mwg_transition,
-                       run_chain, rwm_transition)
+from .samplers import KERNELS, SamplerConfig, SampleStore, run_chain
 from .tuning import TuneState, adapt_stepsize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChainSummary", "ConfigError", "ContractError", "DhmcError",
-    "EmbeddingMap", "EssReport", "KERNELS", "KernelTrace", "MassSpec",
-    "ModelError", "OutOfSupportError", "PhaseState", "SampleStore",
-    "SamplerConfig", "StepOutcome", "SweepOrder", "TargetModel", "TuneState",
-    "adapt_stepsize", "batch_means_ess", "coord_step", "coord_sweep",
-    "dhmc_step", "dhmc_transition", "hmc_transition", "kinetic_energy",
-    "min_ess_report", "mwg_transition", "run_chain", "rwm_transition",
-    "sample_momentum", "summarize",
+    "EmbeddingMap", "EssReport", "KERNELS", "MassSpec", "ModelError",
+    "OutOfSupportError", "PhaseState", "SampleStore", "SamplerConfig",
+    "StepOutcome", "SweepOrder", "TargetModel", "TuneState", "adapt_stepsize",
+    "batch_means_ess", "coord_step", "coord_sweep", "dhmc_step",
+    "kinetic_energy", "min_ess_report", "run_chain", "sample_momentum",
+    "summarize",
 ]

@@ -39,7 +39,7 @@ from .core import sample_momentum
 from .diagnostics import min_ess_report, summarize
 from .integrators import SweepOrder, coord_step
 from .models import build_model
-from .samplers import SampleStore, SamplerConfig, run_chain
+from .samplers import TRACE_DTYPE, SampleStore, SamplerConfig, run_chain
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
 
@@ -186,18 +186,15 @@ def _write_samples(store, chain_dir: str, fmt: str):
     return path
 
 
-TRACE_FIELDS = ("iteration", "accepted", "delta_H", "flips", "coord_updates",
-                "potential_evals", "eps_used", "path_len", "diverged")
+TRACE_FIELDS = ("iteration",) + TRACE_DTYPE.names
 
 
 def _write_trace(store, chain_dir: str):
     path = os.path.join(chain_dir, "trace.csv")
     with open(path, "w") as fh:
         fh.write(",".join(TRACE_FIELDS) + "\n")
-        for i, t in enumerate(store.traces):
-            row = (i, t.accepted, t.delta_H, t.flips, t.coord_updates,
-                   t.potential_evals, t.eps_used, t.path_len_used, t.diverged)
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for i, row in enumerate(store.trace.tolist()):
+            fh.write(",".join(_fmt(v) for v in (i,) + row) + "\n")
     return path
 
 
@@ -269,6 +266,10 @@ def cmd_run(args) -> int:
             cfg["format"] = args.format
         cfg = _validate_run_config(cfg)
         scfg = _sampler_config(cfg)
+        try:
+            workers = int(os.environ.get("DHMC_MAX_WORKERS", "1"))
+        except ValueError:
+            raise ConfigError("DHMC_MAX_WORKERS must be an integer") from None
     except FileNotFoundError as exc:
         print(f"error: config file not found: {exc.filename}", file=sys.stderr)
         return 2
@@ -311,7 +312,6 @@ def cmd_run(args) -> int:
          cfg["format"], c, cfg["model"]["name"])
         for c in range(cfg["chains"])
     ]
-    workers = int(os.environ.get("DHMC_MAX_WORKERS", "1"))
     try:
         if workers > 1 and cfg["chains"] > 1:
             with ProcessPoolExecutor(max_workers=min(workers, cfg["chains"])) as pool:

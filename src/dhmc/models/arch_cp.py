@@ -139,7 +139,9 @@ class ArchChangePointTarget(TargetModel):
         la = la0 + np.concatenate(([0.0], np.cumsum(da)))
         lb = lb0 + np.concatenate(([0.0], np.cumsum(db)))
         seg = self._segments(taus)
-        sigma2 = np.exp(la)[seg] + np.exp(lb)[seg] * self._ylag2
+        with np.errstate(over="ignore"):
+            # a level above e^709.78 makes the potential +inf
+            sigma2 = np.exp(la)[seg] + np.exp(lb)[seg] * self._ylag2
         if np.any(sigma2 <= 0.0):
             return float("inf")
         pot = 0.5 * np.sum(np.log(sigma2) + _LOG_2PI + self._ysq / sigma2)
@@ -211,10 +213,15 @@ class ArchChangePointTarget(TargetModel):
             taus = np.array([], dtype=np.int64)
         la = la0 + np.concatenate(([0.0], np.cumsum(da)))
         lb = lb0 + np.concatenate(([0.0], np.cumsum(db)))
-        a, b = np.exp(la), np.exp(lb)
         seg = self._segments(taus)
-        sigma2 = a[seg] + b[seg] * self._ylag2
-        gt = 0.5 / sigma2 - 0.5 * self._ysq / sigma2 ** 2
+        with np.errstate(over="ignore"):
+            a, b = np.exp(la), np.exp(lb)
+            sigma2 = a[seg] + b[seg] * self._ylag2
+            # an infinite square only drops a vanishing term
+            gt = 0.5 / sigma2 - 0.5 * self._ysq / sigma2 ** 2
+        if math.isinf(a.max() + b.max()):
+            # a level above e^709.78 leaves no finite gradient
+            raise ContractError("gradient queried off support")
         w_a = np.bincount(seg, weights=gt, minlength=K + 1)
         w_b = np.bincount(seg, weights=gt * self._ylag2, minlength=K + 1)
         aw = a * w_a

@@ -33,15 +33,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (ConfigError, ContractError, MassSpec, PhaseState,
-                   TargetModel, kinetic_energy, sample_momentum)
+from .core import (ConfigError, MassSpec, PhaseState, TargetModel,
+                   kinetic_energy, sample_momentum)
 from .integrators import (SweepOrder, _dhmc_step_inplace, _grad_checked,
                           _mass_lookup, _potential_checked)
 from .tuning import TuneState, adapt_stepsize, mass_from_state
 
-__all__ = ["SamplerConfig", "KernelTrace", "SampleStore", "KERNELS",
-           "dhmc_transition", "mwg_transition", "rwm_transition",
-           "hmc_transition", "run_chain"]
+__all__ = ["SamplerConfig", "SampleStore", "KERNELS", "TRACE_DTYPE",
+           "run_chain"]
 
 KERNELS = ("dhmc", "dhmc_coordwise", "hmc", "mwg", "rwm")
 
@@ -129,24 +128,15 @@ class SamplerConfig:
         return (math.ceil(0.9 * self.path_len), self.path_len)
 
 
-@dataclass(frozen=True)
-class KernelTrace:
-    """Per-iteration kernel bookkeeping.
-
-    ``flips`` counts momentum reflections, which for the Gibbs-style kernels
-    equal per-coordinate rejections; ``coord_updates`` is the number of
-    coordinate-wise updates attempted (zero for rwm/hmc); ``potential_evals``
-    counts potential, potential-difference and gradient calls.
-    """
-
-    accepted: bool
-    delta_H: float
-    flips: int
-    potential_evals: int
-    eps_used: float
-    coord_updates: int = 0
-    path_len_used: int = 0
-    diverged: bool = False
+# One row per iteration, the ``trace.csv`` columns after ``iteration``.
+# ``flips`` counts momentum reflections, which for the Gibbs-style kernels
+# equal per-coordinate rejections; ``coord_updates`` is the number of
+# coordinate-wise updates attempted (zero for rwm/hmc); ``potential_evals``
+# counts potential, potential-difference and gradient calls.
+TRACE_DTYPE = np.dtype([
+    ("accepted", np.bool_), ("delta_H", np.float64), ("flips", np.int64),
+    ("coord_updates", np.int64), ("potential_evals", np.int64),
+    ("eps_used", np.float64), ("path_len", np.int64), ("diverged", np.bool_)])
 
 
 def _draw_eps(rng: np.random.Generator, eps_range) -> float:
@@ -163,8 +153,8 @@ def _draw_path_len(rng: np.random.Generator, lo: int, hi: int) -> int:
 
 
 def _dhmc_move(model, state, rng, eps_range, path_range, mass, u_current):
-    """One transition of the trajectory core; returns (state, trace, cached
-    potential).
+    """One transition of the trajectory core; returns (state, trace row,
+    cached potential).
 
     Every kernel but ``rwm`` is this move: ``hmc`` on an all-smooth
     partition, ``mwg`` with path range (1, 1) on an all-discontinuous one.
@@ -198,23 +188,18 @@ def _dhmc_move(model, state, rng, eps_range, path_range, mass, u_current):
         flips += f
         evals += e
         if diverged:
-            trace = KernelTrace(accepted=False, delta_H=np.inf, flips=flips,
-                                potential_evals=evals, eps_used=eps,
-                                coord_updates=updates, path_len_used=L,
-                                diverged=True)
-            return state, trace, u_current
+            row = (False, np.inf, flips, updates, evals, eps, L, True)
+            return state, row, u_current
     delta_h = 0.0
     accepted = True
     if len(smooth):
         k1 = kinetic_energy(pv, mass, smooth, disc)
         delta_h = float((u_end + k1) - (u_current + k0))
         accepted = bool(np.log(rng.uniform()) < -delta_h)
-    trace = KernelTrace(accepted=accepted, delta_H=delta_h, flips=flips,
-                        potential_evals=evals, eps_used=eps,
-                        coord_updates=updates, path_len_used=L)
+    row = (accepted, delta_h, flips, updates, evals, eps, L, False)
     if accepted:
-        return PhaseState(theta, pv, smooth, disc), trace, u_end
-    return state, trace, u_current
+        return PhaseState(theta, pv, smooth, disc), row, u_end
+    return state, row, u_current
 
 
 def _proposal_factor(rwm_cov, dim):
@@ -253,82 +238,8 @@ def _rwm_move(model, state, rng, eps_range, factor, u_current):
     delta = u_prop - u_current
     if np.log(rng.uniform()) < -delta:
         new = PhaseState(prop, state.p, state.smooth_idx, state.disc_idx)
-        return new, KernelTrace(True, float(delta), 0, evals, eps), u_prop
-    return state, KernelTrace(False, float(delta), 0, evals, eps), u_current
-
-
-def _require_eps_range(cfg: SamplerConfig):
-    if cfg.eps_range is None:
-        raise ConfigError("eps_range is required for a direct transition "
-                          "(stepsize tuning happens inside run_chain)")
-    return cfg.eps_range
-
-
-def _mass_or_unit(cfg, state):
-    mass = cfg.mass
-    if mass is None:
-        mass = MassSpec.unit(len(state.smooth_idx), len(state.disc_idx))
-    mass.check_sizes(len(state.smooth_idx), len(state.disc_idx))
-    return mass
-
-
-def dhmc_transition(model: TargetModel, state: PhaseState, cfg: SamplerConfig,
-                    rng: np.random.Generator):
-    """One transition of the split-integrator kernel.
-
-    Draws eps ~ Uniform(cfg.eps_range) and a jittered path length, refreshes
-    the momentum, runs the trajectory under a single fresh permutation, and
-    applies a Metropolis test on the energy error when a smooth block exists.
-    Returns (new state, KernelTrace).
-    """
-    eps_range = _require_eps_range(cfg)
-    mass = _mass_or_unit(cfg, state)
-    new, trace, _ = _dhmc_move(model, state, rng, eps_range,
-                               cfg.path_len_range(), mass, None)
-    return new, trace
-
-
-def mwg_transition(model: TargetModel, state: PhaseState, cfg: SamplerConfig,
-                   rng: np.random.Generator):
-    """One random-scan Metropolis-within-Gibbs sweep.
-
-    Requires every coordinate on the discontinuous block; proposals are
-    theta_j +- eps / m_j with the sign uniform, accepted with probability
-    min(1, exp(-dU)).  Consumes randomness in the same order as
-    ``dhmc_transition`` with path_len 1, which makes the two kernels
-    couplable realization by realization.
-    """
-    if len(state.smooth_idx):
-        raise ContractError("mwg_transition requires an all-discontinuous partition")
-    eps_range = _require_eps_range(cfg)
-    mass = _mass_or_unit(cfg, state)
-    new, trace, _ = _dhmc_move(model, state, rng, eps_range, (1, 1), mass, None)
-    return new, trace
-
-
-def rwm_transition(model: TargetModel, state: PhaseState, cfg: SamplerConfig,
-                   rng: np.random.Generator):
-    """One random-walk Metropolis transition with Gaussian proposal.
-
-    The proposal is theta + eps * A z with A A' = cfg.rwm_cov (identity when
-    unset) and eps ~ Uniform(cfg.eps_range).
-    """
-    eps_range = _require_eps_range(cfg)
-    factor = _proposal_factor(cfg.rwm_cov, state.dim)
-    new, trace, _ = _rwm_move(model, state, rng, eps_range, factor, None)
-    return new, trace
-
-
-def hmc_transition(model: TargetModel, state: PhaseState, cfg: SamplerConfig,
-                   rng: np.random.Generator):
-    """One leapfrog-trajectory transition; smooth targets only.
-
-    On an all-smooth partition the split step is leapfrog, so this is
-    ``dhmc_transition`` after the partition check.
-    """
-    if len(state.disc_idx):
-        raise ContractError("hmc_transition requires an all-smooth partition")
-    return dhmc_transition(model, state, cfg, rng)
+        return new, (True, float(delta), 0, 0, evals, eps, 0, False), u_prop
+    return state, (False, float(delta), 0, 0, evals, eps, 0, False), u_current
 
 
 @dataclass
@@ -336,15 +247,19 @@ class SampleStore:
     """Column-wise draws plus everything needed to interpret and score them.
 
     ``draws`` holds raw sampling-space values; embedded discrete coordinates
-    decode through ``embeddings``.  ``potential_evals`` counts sampling-phase
-    model work only, warmup work is reported separately.  A store loaded from
-    run artifacts holds decoded draws, no embeddings and no traces.
+    decode through ``embeddings``.  ``trace`` and ``warmup_trace`` are
+    ``TRACE_DTYPE`` arrays with one row per sampling and per warmup
+    iteration.  ``potential_evals`` counts sampling-phase model work only,
+    warmup work is reported separately.  A store loaded from run artifacts
+    holds decoded draws, no embeddings and empty traces.
     """
 
     names: list
     draws: np.ndarray
     embeddings: dict = field(default_factory=dict)
-    traces: list = field(default_factory=list)
+    trace: np.ndarray = field(default_factory=lambda: np.empty(0, TRACE_DTYPE))
+    warmup_trace: np.ndarray = field(
+        default_factory=lambda: np.empty(0, TRACE_DTYPE))
     kernel: str = ""
     eps_range: tuple = ()
     mass: MassSpec | None = None
@@ -367,22 +282,21 @@ class SampleStore:
         return emap.decode(col).astype(float)
 
     def acceptance_rate(self) -> float:
-        if not self.traces:
+        if not len(self.trace):
             return float("nan")
-        return sum(t.accepted for t in self.traces) / len(self.traces)
+        return int(np.count_nonzero(self.trace["accepted"])) / len(self.trace)
 
     def move_fraction(self) -> float:
         """1 - flips per coordinate update over the sampling phase."""
-        updates = sum(t.coord_updates for t in self.traces)
+        updates = int(self.trace["coord_updates"].sum())
         if updates == 0:
             return float("nan")
-        flips = sum(t.flips for t in self.traces)
-        return 1.0 - flips / updates
+        return 1.0 - int(self.trace["flips"].sum()) / updates
 
     def mean_path_len(self) -> float:
-        if not self.traces:
+        if not len(self.trace):
             return float("nan")
-        return float(np.mean([t.path_len_used for t in self.traces]))
+        return float(np.mean(self.trace["path_len"]))
 
 
 def _resolve_partition(model: TargetModel, kernel: str):
@@ -399,16 +313,18 @@ def _resolve_partition(model: TargetModel, kernel: str):
             np.asarray(model.disc_idx, dtype=np.intp))
 
 
-def _iteration_statistic(trace: KernelTrace) -> float:
-    """Move fraction for sweep kernels, acceptance for trajectory kernels.
+def _iteration_statistic(row) -> float:
+    """Move fraction for sweep kernels, acceptance for trajectory kernels,
+    read from one ``TRACE_DTYPE`` row.
 
     For mixed targets both constraints bind, so the minimum is adapted: the
     stepsize shrinks when either the sweep flips too often or the smooth
     block rejects too often.
     """
-    stat = 1.0 if trace.accepted else 0.0
-    if trace.coord_updates:
-        stat = min(stat, 1.0 - trace.flips / trace.coord_updates)
+    stat = 1.0 if row["accepted"] else 0.0
+    updates = int(row["coord_updates"])
+    if updates:
+        stat = min(stat, 1.0 - int(row["flips"]) / updates)
     return stat
 
 
@@ -422,7 +338,9 @@ def run_chain(model: TargetModel, init, cfg: SamplerConfig,
     diagonal masses halfway through (when enabled); the sampling-phase kernel
     is frozen.  Fully deterministic given the rng.
 
-    Returns a SampleStore; per-iteration traces cover the sampling phase.
+    Returns a SampleStore whose ``warmup_trace`` and ``trace`` hold one
+    ``TRACE_DTYPE`` row per warmup and per sampling iteration; its counters
+    are the column sums of those rows.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -461,8 +379,6 @@ def run_chain(model: TargetModel, init, cfg: SamplerConfig,
     warnings = []
     path_range = (1, 1) if cfg.kernel == "mwg" else cfg.path_len_range()
     u_cur = u0
-    warmup_evals = 1  # the initial-point check above
-    warmup_div = 0
     mass_update_at = cfg.n_warmup // 2 if cfg.n_warmup else None
     if cfg.kernel == "rwm" and cfg.rwm_cov is not None:
         tune_mass = False  # an explicit proposal covariance is kept as given
@@ -472,13 +388,14 @@ def run_chain(model: TargetModel, init, cfg: SamplerConfig,
             return _rwm_move(model, st, rng, eps_range, cur_factor, u_in)
         return _dhmc_move(model, st, rng, eps_range, path_range, cur_mass, u_in)
 
+    rows = np.empty(cfg.n_warmup + cfg.n_samples, dtype=TRACE_DTYPE)
+    warmup_trace, trace = rows[:cfg.n_warmup], rows[cfg.n_warmup:]
     for i in range(cfg.n_warmup):
         eps_range = (ts.eps, ts.eps) if tune_eps else cfg.eps_range
-        state, trace, u_cur = move(state, eps_range, mass, factor, u_cur)
-        warmup_evals += trace.potential_evals
-        warmup_div += trace.diverged
+        state, warmup_trace[i], u_cur = move(state, eps_range, mass, factor,
+                                             u_cur)
         if tune_eps:
-            ts = adapt_stepsize(ts, _iteration_statistic(trace))
+            ts = adapt_stepsize(ts, _iteration_statistic(warmup_trace[i]))
         if tune_mass and mass_update_at is not None:
             if i < mass_update_at:
                 ts = ts.observe_draw(state.theta)
@@ -503,19 +420,19 @@ def run_chain(model: TargetModel, init, cfg: SamplerConfig,
         final_eps_range = cfg.eps_range
 
     draws = np.empty((cfg.n_samples, model.dim))
-    traces = []
-    divergences = 0
-    evals = 0
     for i in range(cfg.n_samples):
-        state, trace, u_cur = move(state, final_eps_range, mass, factor, u_cur)
+        state, trace[i], u_cur = move(state, final_eps_range, mass, factor,
+                                      u_cur)
         draws[i] = state.theta
-        traces.append(trace)
-        divergences += trace.diverged
-        evals += trace.potential_evals
 
     return SampleStore(
         names=list(model.param_names), draws=draws,
-        embeddings=dict(model.embeddings), traces=traces, kernel=cfg.kernel,
-        eps_range=tuple(final_eps_range), mass=mass, divergences=divergences,
-        potential_evals=evals, warmup_evals=warmup_evals,
-        warmup_divergences=warmup_div, warnings=warnings)
+        embeddings=dict(model.embeddings), trace=trace,
+        warmup_trace=warmup_trace, kernel=cfg.kernel,
+        eps_range=tuple(final_eps_range), mass=mass,
+        divergences=int(trace["diverged"].sum()),
+        potential_evals=int(trace["potential_evals"].sum()),
+        # plus one for the initial-point check
+        warmup_evals=1 + int(warmup_trace["potential_evals"].sum()),
+        warmup_divergences=int(warmup_trace["diverged"].sum()),
+        warnings=warnings)

@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from dhmc import (MassSpec, PhaseState, SamplerConfig, SweepOrder, TuneState,
-                  adapt_stepsize, batch_means_ess, coord_sweep, dhmc_step,
-                  dhmc_transition, min_ess_report, mwg_transition, run_chain)
+from dhmc import (MassSpec, PhaseState, SamplerConfig, SweepOrder,
+                  batch_means_ess, coord_sweep, dhmc_step, min_ess_report,
+                  run_chain)
 from dhmc.embedding import EmbeddingMap
 from dhmc.models import (Ar1Target, BinomialNTarget, GaussianTarget,
                          GridTarget, JollySeberStats, JollySeberTarget,
@@ -167,18 +167,17 @@ def test_02_reversibility_and_volume():
 
 def test_03_single_step_kernel_equals_gibbs():
     gt = GridTarget.from_probs(THREE_STATE)
-    cfg_d = SamplerConfig(kernel="dhmc", eps_range=(0.3, 1.1), path_len=1)
-    cfg_m = SamplerConfig(kernel="mwg", eps_range=(0.3, 1.1))
+    cfg_d = SamplerConfig(kernel="dhmc", eps_range=(0.3, 1.1), path_len=1,
+                          n_warmup=0, n_samples=10**4)
+    cfg_m = SamplerConfig(kernel="mwg", eps_range=(0.3, 1.1), n_warmup=0,
+                          n_samples=10**4)
     with _criterion(3, "length-1 trajectories coincide with "
                        "Metropolis-within-Gibbs"):
-        r1, r2 = np.random.default_rng(403), np.random.default_rng(403)
-        sd = all_disc_state([2.5], [0.0])
-        sm = all_disc_state([2.5], [0.0])
-        for _ in range(10**4):
-            sd, _ = dhmc_transition(gt, sd, cfg_d, r1)
-            sm, _ = mwg_transition(gt, sm, cfg_m, r2)
-            assert np.array_equal(sd.theta, sm.theta)
-            assert np.array_equal(sd.p, sm.p)
+        sd = run_chain(gt, np.array([2.5]), cfg_d, np.random.default_rng(403))
+        sm = run_chain(gt, np.array([2.5]), cfg_m, np.random.default_rng(403))
+        assert np.array_equal(sd.draws, sm.draws)
+        for name in sd.trace.dtype.names:
+            assert np.array_equal(sd.trace[name], sm.trace[name]), name
 
 
 def test_04_stationary_distributions():
@@ -302,31 +301,21 @@ def test_08_flip_statistic_calibration():
         # one neighbor, so the expected flip fraction enumerates exactly:
         #   0.2*(1 + 0)/2 + 0.5*((1-0.4) + (1-0.6))/2 + 0.3*(0 + 1)/2 = 0.5
         cfg = SamplerConfig(kernel="mwg", eps_range=(1.0, 1.0), tune_eps=False,
-                            tune_mass=False, mass=MassSpec(m_disc=np.ones(1)))
-        rng = np.random.default_rng(140)
-        st = all_disc_state([1.5], [0.0])
-        for _ in range(500):
-            st, _ = mwg_transition(gt, st, cfg, rng)
-        flips = np.empty(20000)
-        for i in range(20000):
-            st, tr = mwg_transition(gt, st, cfg, rng)
-            flips[i] = tr.flips
+                            tune_mass=False, mass=MassSpec(m_disc=np.ones(1)),
+                            n_warmup=500, n_samples=20000)
+        st = run_chain(gt, np.array([1.5]), cfg, np.random.default_rng(140))
+        flips = st.trace["flips"].astype(float)
         z = abs(flips.mean() - 0.5) / batch_se(flips)
         assert z <= 3.0, f"flip fraction {flips.mean():.4f}, z {z:.2f}"
 
         # stochastic-approximation warmup reaches the 0.8 target
-        rng = np.random.default_rng(141)
-        ts = TuneState(log_eps=np.log(0.5), target_stat=0.8)
-        st = all_disc_state([2.5], [0.0])
-        stats = []
-        for _ in range(2000):
-            cfg_t = SamplerConfig(kernel="mwg", eps_range=(ts.eps, ts.eps),
-                                  tune_eps=False, tune_mass=False,
-                                  mass=MassSpec(m_disc=np.ones(1)))
-            st, tr = mwg_transition(gt, st, cfg_t, rng)
-            obs = 1.0 - tr.flips / tr.coord_updates
-            stats.append(obs)
-            ts = adapt_stepsize(ts, obs)
+        cfg_t = SamplerConfig(kernel="mwg", eps_range=(0.5, 0.5), tune_eps=True,
+                              target_stat=0.8, tune_mass=False,
+                              mass=MassSpec(m_disc=np.ones(1)),
+                              n_warmup=2000, n_samples=0)
+        st = run_chain(gt, np.array([2.5]), cfg_t, np.random.default_rng(141))
+        warm = st.warmup_trace
+        stats = 1.0 - warm["flips"] / warm["coord_updates"]
         tail = float(np.mean(stats[-500:]))
         assert 0.75 <= tail <= 0.85, f"late-warmup statistic {tail:.3f}"
 

@@ -118,6 +118,14 @@ def test_run_config_errors(tmp_path, capsys, overrides, fragment):
     assert fragment in capsys.readouterr().err
 
 
+def test_run_rejects_a_non_integer_worker_count(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path / "c.yaml", output_dir=str(tmp_path / "out"))
+    monkeypatch.setenv("DHMC_MAX_WORKERS", "two")
+    assert run_cli("run", "--config", cfg) == 2
+    assert "error: DHMC_MAX_WORKERS must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_run_missing_config_file(tmp_path, capsys):
     assert run_cli("run", "--config", tmp_path / "absent.yaml") == 2
     assert "config file not found" in capsys.readouterr().err
@@ -180,7 +188,8 @@ def test_load_chain_round_trips_the_run_chain_store(tmp_path, monkeypatch,
     assert loaded.draws.tobytes() == store.decoded_column(0).tobytes()
     np.testing.assert_array_equal(raw["N_emb"], store.draws[:, 0])
     assert loaded.names == store.names == report["param_names"]
-    assert (loaded.embeddings, loaded.traces) == ({}, [])
+    assert loaded.embeddings == {}
+    assert len(loaded.trace) == len(loaded.warmup_trace) == 0
     assert (loaded.kernel, loaded.eps_range) == (store.kernel, store.eps_range)
     np.testing.assert_array_equal(loaded.mass.m_disc, store.mass.m_disc)
     for counter in ("divergences", "potential_evals", "warmup_evals",

@@ -264,15 +264,24 @@ def test_arch_cp_gradient_at_an_overflowing_scale_is_a_contract_error():
         model.grad_smooth(theta)
 
 
-@pytest.mark.parametrize("log_eta, finite", [(5.0, True), (20.0, False)])
-def test_arch_cp_overflowing_scale_squares_are_silent(log_eta, finite):
+@pytest.mark.parametrize("levels, finite", [
+    pytest.param({"log_sigma_a": 700.0, "log_eta_a": 5.0}, True, id="5.0-True"),
+    pytest.param({"log_sigma_a": 700.0, "log_eta_a": 20.0}, False,
+                 id="20.0-False"),
+    pytest.param({"log_a0": 720.0}, False, id="log_a0-720-False"),
+    pytest.param({"log_b0": 400.0}, True, id="log_b0-400-True"),
+])
+def test_arch_cp_overflowing_scale_squares_are_silent(levels, finite):
     # sigma_a = e^700 stays below math.exp's limit; at log_eta = 5 only the
     # squared scale overflows, at 20 the scale sigma_a * eta_a itself does.
+    # A base level of e^720 overflows the variance itself; at log_b0 = 400
+    # only the squared variance does.
     model = small_arch_cp()
-    K = model.k_max
     theta = model.initial_theta(np.random.default_rng(1))
-    theta[2 + 4 * K] = 700.0  # log_sigma_a
-    theta[2 + 2 * K:2 + 3 * K] = log_eta  # log_eta_a
+    for j, name in enumerate(model.param_names):
+        for prefix, value in levels.items():
+            if name.startswith(prefix):
+                theta[j] = value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u = model.potential(theta)

@@ -5,20 +5,20 @@ kernel and Metropolis-within-Gibbs, reversibility and stationarity of the
 transition laws, and the warmup adaptation in run_chain.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from dhmc import (ConfigError, ContractError, MassSpec, PhaseState,
-                  SamplerConfig, TargetModel, dhmc_transition, hmc_transition,
-                  mwg_transition, run_chain, rwm_transition, samplers)
+from dhmc import (ConfigError, MassSpec, PhaseState, SamplerConfig,
+                  TargetModel, TuneState, adapt_stepsize, run_chain, samplers)
 from dhmc.embedding import EmbeddingMap
 from dhmc.models import BananaTarget, BinomialNTarget, GaussianTarget, GridTarget
 
-from conftest import (CoupledMix, SmoothStep, WalledGaussian, all_disc_state,
-                      all_smooth_state, small_arch_cp, small_jolly_seber)
-
-IDX0 = np.array([], dtype=np.intp)
+from conftest import (CoupledMix, SmoothStep, WalledGaussian, small_arch_cp,
+                      small_jolly_seber)
 
 
 def three_state():
@@ -70,24 +70,16 @@ def test_path_len_jitter_window():
     assert SamplerConfig(path_len=(4, 9)).path_len_range() == (4, 9)
 
 
-def test_transitions_require_eps_range():
-    g = GaussianTarget(dim=1)
-    st = all_smooth_state([0.0], [0.0])
-    cfg = SamplerConfig()
-    rng = np.random.default_rng(0)
-    for kern in (dhmc_transition, rwm_transition, hmc_transition):
-        with pytest.raises(ConfigError, match="tuning happens inside run_chain"):
-            kern(g, st, cfg, rng)
-
-
 def test_partition_requirements():
-    g = GaussianTarget(dim=1)
-    cfg = SamplerConfig(eps_range=(0.1, 0.2))
-    rng = np.random.default_rng(0)
-    with pytest.raises(ContractError, match="all-discontinuous"):
-        mwg_transition(g, all_smooth_state([0.0], [0.0]), cfg, rng)
-    with pytest.raises(ContractError, match="all-smooth"):
-        hmc_transition(three_state(), all_disc_state([1.5], [0.0]), cfg, rng)
+    # mwg sweeps every coordinate of any target; hmc refuses a discrete one
+    g = GaussianTarget(dim=2)
+    cfg = SamplerConfig(kernel="mwg", eps_range=(0.1, 0.2), n_warmup=0,
+                        n_samples=3, seed=0)
+    store = run_chain(g, np.zeros(2), cfg)
+    assert (store.trace["coord_updates"] == 2).all()
+    cfg = SamplerConfig(kernel="hmc", eps_range=(0.1, 0.2), n_samples=3)
+    with pytest.raises(ConfigError, match="all-smooth"):
+        run_chain(three_state(), np.array([1.5]), cfg)
 
 
 # -------------------------------------------------- kernel-level mechanics
@@ -97,13 +89,13 @@ def test_pure_discontinuous_dhmc_is_rejection_free():
     emap = EmbeddingMap.uniform(0, 1)
     gt = GridTarget([emap, emap], np.log([[0.1, 0.4], [0.3, 0.2]]))
     idx = np.arange(2, dtype=np.intp)
-    st = PhaseState(np.array([0.5, 1.5]), np.zeros(2), IDX0, idx)
-    cfg = SamplerConfig(kernel="dhmc", eps_range=(0.2, 0.9), path_len=(2, 2))
+    cfg = SamplerConfig(kernel="dhmc", eps_range=(0.2, 0.9), path_len=(2, 2),
+                        n_warmup=0, n_samples=20)
     r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
+    tr = run_chain(gt, np.array([0.5, 1.5]), cfg, r1).trace
+    assert tr["accepted"].all() and (tr["delta_H"] == 0.0).all()
+    assert (tr["coord_updates"] == 4).all() and (tr["potential_evals"] == 4).all()
     for _ in range(20):
-        st, tr = dhmc_transition(gt, st, cfg, r1)
-        assert tr.accepted and tr.delta_H == 0.0
-        assert tr.coord_updates == 4 and tr.potential_evals == 4
         # replicate the randomness by hand: stepsize, momenta, permutation,
         # and no acceptance draw at the end
         r2.uniform(0.2, 0.9)
@@ -115,98 +107,86 @@ def test_pure_discontinuous_dhmc_is_rejection_free():
 def test_single_step_dhmc_couples_with_mwg():
     bt = BinomialNTarget(y=5, q=0.5, n_max=50)
     th0 = bt.initial_theta(np.random.default_rng(0))
-    cfg_d = SamplerConfig(kernel="dhmc", eps_range=(0.3, 1.1), path_len=1)
-    cfg_m = SamplerConfig(kernel="mwg", eps_range=(0.3, 1.1))
-    sd = all_disc_state(th0.copy(), [0.0])
-    sm = all_disc_state(th0.copy(), [0.0])
-    r1, r2 = np.random.default_rng(87), np.random.default_rng(87)
-    for _ in range(500):
-        sd, td = dhmc_transition(bt, sd, cfg_d, r1)
-        sm, tm = mwg_transition(bt, sm, cfg_m, r2)
-        assert np.array_equal(sd.theta, sm.theta)
-        assert np.array_equal(sd.p, sm.p)
-        assert td.eps_used == tm.eps_used and td.flips == tm.flips
+    cfg_d = SamplerConfig(kernel="dhmc", eps_range=(0.3, 1.1), path_len=1,
+                          n_warmup=0, n_samples=500)
+    cfg_m = SamplerConfig(kernel="mwg", eps_range=(0.3, 1.1), n_warmup=0,
+                          n_samples=500)
+    sd = run_chain(bt, th0.copy(), cfg_d, np.random.default_rng(87))
+    sm = run_chain(bt, th0.copy(), cfg_m, np.random.default_rng(87))
+    assert np.array_equal(sd.draws, sm.draws)
+    for name in samplers.TRACE_DTYPE.names:
+        assert np.array_equal(sd.trace[name], sm.trace[name]), name
 
 
 def test_mwg_trace_shape():
-    st = all_disc_state([2.5], [0.0])
-    cfg = SamplerConfig(kernel="mwg", eps_range=(0.3, 0.6))
-    new, tr = mwg_transition(three_state(), st, cfg, np.random.default_rng(1))
-    assert tr.accepted and tr.delta_H == 0.0
-    assert tr.coord_updates == 1 and tr.path_len_used == 1
+    cfg = SamplerConfig(kernel="mwg", eps_range=(0.3, 0.6), n_warmup=0,
+                        n_samples=1)
+    store = run_chain(three_state(), np.array([2.5]), cfg,
+                      np.random.default_rng(1))
+    tr = store.trace[0]
+    assert tr["accepted"] and tr["delta_H"] == 0.0
+    assert tr["coord_updates"] == 1 and tr["path_len"] == 1
 
 
 def test_rwm_zero_covariance_stays_put():
     g = GaussianTarget(dim=2)
-    cfg = SamplerConfig(kernel="rwm", eps_range=(1.0, 1.0), rwm_cov=np.zeros(2))
-    st = all_smooth_state([0.3, -0.2], [0.0, 0.0])
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        st, tr = rwm_transition(g, st, cfg, rng)
-        assert tr.accepted and tr.delta_H == 0.0
-    assert np.array_equal(st.theta, [0.3, -0.2])
+    cfg = SamplerConfig(kernel="rwm", eps_range=(1.0, 1.0), rwm_cov=np.zeros(2),
+                        n_warmup=0, n_samples=10)
+    store = run_chain(g, np.array([0.3, -0.2]), cfg, np.random.default_rng(2))
+    assert store.trace["accepted"].all() and (store.trace["delta_H"] == 0.0).all()
+    assert (store.draws == [0.3, -0.2]).all()
 
 
 def test_rwm_covariance_validation():
     g = GaussianTarget(dim=2)
-    st = all_smooth_state([0.0, 0.0], [0.0, 0.0])
     rng = np.random.default_rng(3)
     for cov, msg in [
         (np.array([1.0, -1.0]), "nonnegative"),
         (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive definite"),
         (np.ones((3, 3)), "shape"),
     ]:
-        cfg = SamplerConfig(kernel="rwm", eps_range=(1.0, 1.0), rwm_cov=cov)
+        cfg = SamplerConfig(kernel="rwm", eps_range=(1.0, 1.0), rwm_cov=cov,
+                            n_warmup=0, n_samples=1)
         with pytest.raises(ConfigError, match=msg):
-            rwm_transition(g, st, cfg, rng)
+            run_chain(g, np.zeros(2), cfg, rng)
 
 
 def test_rwm_acceptance_at_reference_scale():
     # sd-2.4 proposals on a unit Gaussian sit near the classic 0.44 rate
     g = GaussianTarget(dim=1)
-    cfg = SamplerConfig(kernel="rwm", eps_range=(2.4, 2.4))
-    rng = np.random.default_rng(50)
-    st = all_smooth_state([0.0], [0.0])
-    acc = 0
-    for _ in range(10**4):
-        st, tr = rwm_transition(g, st, cfg, rng)
-        acc += tr.accepted
-    assert 0.35 <= acc / 10**4 <= 0.55
+    cfg = SamplerConfig(kernel="rwm", eps_range=(2.4, 2.4), n_warmup=0,
+                        n_samples=10**4)
+    store = run_chain(g, np.zeros(1), cfg, np.random.default_rng(50))
+    assert 0.35 <= store.acceptance_rate() <= 0.55
 
 
 def test_hmc_small_step_acceptance_is_high():
     g = GaussianTarget(dim=1)
-    cfg = SamplerConfig(kernel="hmc", eps_range=(0.1, 0.1), path_len=(16, 16))
-    rng = np.random.default_rng(51)
-    st = all_smooth_state([0.0], [0.0])
-    acc = 0
-    for _ in range(10**4):
-        st, tr = hmc_transition(g, st, cfg, rng)
-        acc += tr.accepted
-    assert acc / 10**4 >= 0.95
+    cfg = SamplerConfig(kernel="hmc", eps_range=(0.1, 0.1), path_len=(16, 16),
+                        n_warmup=0, n_samples=10**4)
+    store = run_chain(g, np.zeros(1), cfg, np.random.default_rng(51))
+    assert store.acceptance_rate() >= 0.95
 
 
 def test_hmc_suffers_on_a_hidden_step():
     # same stepsize, but a potential with an undeclared jump: the order-one
     # energy error knocks the acceptance rate well below the smooth case
     ss = SmoothStep(edge=0.0, height=1.0)
-    cfg = SamplerConfig(kernel="hmc", eps_range=(0.1, 0.1), path_len=(16, 16))
-    rng = np.random.default_rng(52)
-    st = all_smooth_state([-0.5], [0.0])
-    acc = 0
-    for _ in range(4000):
-        st, tr = hmc_transition(ss, st, cfg, rng)
-        acc += tr.accepted
-    assert acc / 4000 <= 0.9
+    cfg = SamplerConfig(kernel="hmc", eps_range=(0.1, 0.1), path_len=(16, 16),
+                        n_warmup=0, n_samples=4000)
+    store = run_chain(ss, np.array([-0.5]), cfg, np.random.default_rng(52))
+    assert store.acceptance_rate() <= 0.9
 
 
 def test_hmc_eval_accounting():
+    # the initial-point potential, the opening gradient, then one potential
+    # and one gradient per leapfrog step
     g = GaussianTarget(dim=1)
-    cfg = SamplerConfig(kernel="hmc", eps_range=(0.1, 0.1), path_len=(5, 5))
-    _, tr = hmc_transition(g, all_smooth_state([0.0], [1.0]), cfg,
-                           np.random.default_rng(4))
-    assert tr.potential_evals == 2 + 2 * 5
-    assert tr.path_len_used == 5
+    cfg = SamplerConfig(kernel="hmc", eps_range=(0.1, 0.1), path_len=(5, 5),
+                        n_warmup=0, n_samples=1)
+    store = run_chain(g, np.zeros(1), cfg, np.random.default_rng(4))
+    assert store.warmup_evals + store.potential_evals == 2 + 2 * 5
+    assert store.trace["path_len"][0] == 5
 
 
 # ------------------------------------------- reversibility and stationarity
@@ -216,19 +196,14 @@ def test_detailed_balance_on_three_state_grid():
     gt = three_state()
     probs = np.array([0.2, 0.5, 0.3])
     emap = gt.axis_maps[0]
-    configs = [
-        ("mwg", mwg_transition, SamplerConfig(kernel="mwg", eps_range=(0.3, 1.6)),
-         all_disc_state),
-        ("rwm", rwm_transition, SamplerConfig(kernel="rwm", eps_range=(0.8, 0.8)),
-         all_smooth_state),
-    ]
-    for name, kern, cfg, mk_state in configs:
+    for name, eps in [("mwg", (0.3, 1.6)), ("rwm", (0.8, 0.8))]:
+        cfg = SamplerConfig(kernel=name, eps_range=eps, n_warmup=0, n_samples=1)
         rng = np.random.default_rng(60)
         counts = np.zeros((3, 3), dtype=int)
         for _ in range(10**5):
             th = float(1 + rng.choice(3, p=probs) + rng.uniform())
-            new, _ = kern(gt, mk_state([th], [0.0]), cfg, rng)
-            counts[emap.cell_of(th), emap.cell_of(float(new.theta[0]))] += 1
+            new = run_chain(gt, np.array([th]), cfg, rng).draws[0, 0]
+            counts[emap.cell_of(th), emap.cell_of(float(new))] += 1
         for x in range(3):
             for y in range(x + 1, 3):
                 tot = counts[x, y] + counts[y, x]
@@ -241,15 +216,14 @@ def test_grid_distribution_is_stationary(k):
     gt = three_state()
     probs = np.array([0.2, 0.5, 0.3])
     emap = gt.axis_maps[0]
-    cfg = SamplerConfig(kernel="dhmc", eps_range=(0.2, 1.5), path_len=(1, 3))
+    cfg = SamplerConfig(kernel="dhmc", eps_range=(0.2, 1.5), path_len=(1, 3),
+                        n_warmup=0, n_samples=k)
     rng = np.random.default_rng(70 + k)
     cells = np.zeros(3, dtype=int)
     for _ in range(800):
         th = float(1 + rng.choice(3, p=probs) + rng.uniform())
-        st = all_disc_state([th], [0.0])
-        for _ in range(k):
-            st, _ = dhmc_transition(gt, st, cfg, rng)
-        cells[emap.cell_of(float(st.theta[0]))] += 1
+        last = run_chain(gt, np.array([th]), cfg, rng).draws[-1, 0]
+        cells[emap.cell_of(float(last))] += 1
     assert sps.chisquare(cells, 800 * probs).pvalue > 0.01
 
 
@@ -273,17 +247,20 @@ def test_fixed_stepsize_confines_to_a_lattice():
 
 
 def test_run_chain_matches_manual_transition_loop():
+    # 200 one-draw chains, each started at the last draw with the same rng,
+    # retrace one 200-draw chain: no state but theta carries over
     cm = CoupledMix()
     mass = MassSpec(m_disc=np.array([1.0]), diag_smooth=np.array([1.0]))
     cfg = SamplerConfig(kernel="dhmc", eps_range=(0.2, 0.6), path_len=(2, 4),
                         mass=mass, n_warmup=0, n_samples=200, seed=88)
     store = run_chain(cm, np.array([0.5, 1.5]), cfg)
     rng = np.random.default_rng(88)
-    st = PhaseState(np.array([0.5, 1.5]), np.zeros(2), cm.smooth_idx, cm.disc_idx)
+    one = replace(cfg, n_samples=1)
+    theta = np.array([0.5, 1.5])
     manual = np.empty((200, 2))
     for i in range(200):
-        st, _ = dhmc_transition(cm, st, cfg, rng)
-        manual[i] = st.theta
+        theta = run_chain(cm, theta, one, rng).draws[0]
+        manual[i] = theta
     assert np.array_equal(store.draws, manual)
 
 
@@ -310,6 +287,9 @@ def test_run_chain_init_validation():
     bad = SamplerConfig(kernel="mwg", eps_range=(0.3, 0.5), n_samples=5)
     with pytest.raises(ConfigError, match="non-finite potential"):
         run_chain(gt, np.array([9.0]), bad)
+    untuned = SamplerConfig(kernel="dhmc", tune_eps=False, n_samples=5)
+    with pytest.raises(ConfigError, match="eps_range is required"):
+        run_chain(cm, np.array([0.5, 1.5]), untuned)
 
 
 def test_run_chain_zero_samples():
@@ -317,10 +297,26 @@ def test_run_chain_zero_samples():
                         n_samples=0, seed=1)
     store = run_chain(three_state(), None, cfg)
     assert store.draws.shape == (0, 1)
-    assert store.traces == []
+    assert len(store.trace) == 0 and len(store.warmup_trace) == 3
     assert np.isnan(store.acceptance_rate())
     assert np.isnan(store.move_fraction())
     assert store.warmup_evals >= 4  # initial check plus one eval per sweep
+
+
+def test_warmup_trace_replays_the_stepsize_search():
+    n_warmup = 200
+    cfg = SamplerConfig(kernel="mwg", n_warmup=n_warmup, n_samples=50, seed=9)
+    store = run_chain(three_state(), None, cfg)
+    assert len(store.warmup_trace) == n_warmup and len(store.trace) == 50
+    # untuned runs start the search at eps 0.1
+    ts = TuneState(log_eps=math.log(0.1), target_stat=cfg.resolved_target())
+    for row in store.warmup_trace:
+        ts = adapt_stepsize(ts, samplers._iteration_statistic(row))
+    assert store.eps_range == (0.8 * ts.eps, ts.eps)
+    assert store.potential_evals == store.trace["potential_evals"].sum()
+    assert store.divergences == store.trace["diverged"].sum()
+    assert store.warmup_evals == store.warmup_trace["potential_evals"].sum() + 1
+    assert store.warmup_divergences == store.warmup_trace["diverged"].sum()
 
 
 def test_run_chain_explicit_mass_is_kept():
@@ -399,9 +395,9 @@ def test_run_chain_counts_divergences_and_stays_in_support():
     assert store.divergences > 0
     assert np.isfinite(store.draws).all()
     assert np.abs(store.draws).max() < 2.0
-    diverged = [t for t in store.traces if t.diverged]
+    diverged = store.trace[store.trace["diverged"]]
     assert len(diverged) == store.divergences
-    assert all(not t.accepted for t in diverged)
+    assert not diverged["accepted"].any()
 
 
 def test_store_decodes_embedded_columns():
@@ -481,7 +477,7 @@ def test_split_step_carries_its_closing_gradient():
                         tune_mass=False, seed=23)
     store = run_chain(model, None, cfg)
     assert store.divergences == 0
-    steps = sum(t.path_len_used for t in store.traces)
+    steps = int(store.trace["path_len"].sum())
     assert model.calls["grad_smooth"] == steps + cfg.n_samples
 
 
@@ -503,7 +499,7 @@ def test_arch_cp_change_point_update_is_one_diff_call():
                         tune_mass=False, seed=41)
     store = run_chain(model, None, cfg)
     assert store.divergences == 0
-    steps = sum(t.path_len_used for t in store.traces)
+    steps = int(store.trace["path_len"].sum())
     assert model.calls["potential_diff"] == arch.k_max * steps
     # the initial-point check, then one mid-step and one closing potential
     assert model.calls["potential"] == 1 + 2 * steps
@@ -518,8 +514,7 @@ def test_dhmc_on_an_all_smooth_target_is_hmc():
               for k in ("dhmc", "hmc")]
     np.testing.assert_array_equal(stores[0].draws, stores[1].draws)
     assert stores[0].potential_evals == stores[1].potential_evals
-    assert [t.delta_H for t in stores[0].traces] == \
-        [t.delta_H for t in stores[1].traces]
+    assert np.array_equal(stores[0].trace["delta_H"], stores[1].trace["delta_H"])
 
 
 @pytest.mark.parametrize("kernel,target", [

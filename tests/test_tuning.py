@@ -3,22 +3,19 @@
 import numpy as np
 import pytest
 
-from dhmc import (ContractError, KernelTrace, SampleStore, SamplerConfig,
-                  TuneState, adapt_stepsize, dhmc_transition)
+from dhmc import (ContractError, SampleStore, SamplerConfig, TuneState,
+                  adapt_stepsize, run_chain)
 from dhmc.models import Ar1Target, GridTarget
+from dhmc.samplers import TRACE_DTYPE
 from dhmc.tuning import mass_from_state
 
-from conftest import FlatTarget, all_disc_state
+from conftest import FlatTarget
 
 
-def _trace(flips, updates):
-    return KernelTrace(accepted=True, delta_H=0.0, flips=flips,
-                       potential_evals=updates, eps_used=0.5,
-                       coord_updates=updates)
-
-
-def _move_fraction(traces):
-    store = SampleStore(names=[], draws=np.empty((0, 0)), traces=traces)
+def _move_fraction(model, theta, eps):
+    cfg = SamplerConfig(kernel="dhmc", eps_range=(eps, eps), path_len=1,
+                        n_warmup=0, n_samples=50)
+    store = run_chain(model, np.array(theta), cfg, np.random.default_rng(0))
     return store.move_fraction()
 
 
@@ -26,35 +23,23 @@ def _move_fraction(traces):
 
 
 def test_move_fraction_weights_by_update_totals():
-    traces = [_trace(1, 2), _trace(0, 8)]
+    # rows of (accepted, delta_H, flips, coord_updates, potential_evals,
+    # eps_used, path_len, diverged)
+    trace = np.array([(True, 0.0, 1, 2, 2, 0.5, 1, False),
+                      (True, 0.0, 0, 8, 8, 0.5, 1, False)], dtype=TRACE_DTYPE)
+    store = SampleStore(names=[], draws=np.empty((0, 0)), trace=trace)
     # totals: 1 flip over 10 updates, not the mean of (0.5, 1.0)
-    assert _move_fraction(traces) == pytest.approx(0.9)
+    assert store.move_fraction() == pytest.approx(0.9)
 
 
 def test_flat_target_never_flips():
-    model = FlatTarget(dim=2)
-    cfg = SamplerConfig(kernel="dhmc", eps_range=(0.5, 0.5), path_len=1)
-    rng = np.random.default_rng(0)
-    state = all_disc_state([0.0, 0.0], [1.0, -1.0])
-    traces = []
-    for _ in range(50):
-        state, trace = dhmc_transition(model, state, cfg, rng)
-        traces.append(trace)
-    assert _move_fraction(traces) == 1.0
+    assert _move_fraction(FlatTarget(dim=2), [0.0, 0.0], 0.5) == 1.0
 
 
 def test_single_cell_target_always_flips():
     # jump size 2 always clears the unit-width support, so every proposal
     # runs into the wall
-    model = GridTarget.from_probs([1.0])
-    cfg = SamplerConfig(kernel="dhmc", eps_range=(2.0, 2.0), path_len=1)
-    rng = np.random.default_rng(0)
-    state = all_disc_state([1.5], [1.0])
-    traces = []
-    for _ in range(50):
-        state, trace = dhmc_transition(model, state, cfg, rng)
-        traces.append(trace)
-    assert _move_fraction(traces) == 0.0
+    assert _move_fraction(GridTarget.from_probs([1.0]), [1.5], 2.0) == 0.0
 
 
 # ------------------------------------------------------------ adapt_stepsize
