@@ -156,14 +156,16 @@ class TargetModel:
     - optionally ``potential_diff(theta, j, value) -> float``: the change in
       potential when coordinate j moves to ``value``, cheaper than two full
       potential calls and equal to them up to rounding.  It is only called
-      where ``potential(theta)`` is finite; elsewhere its result is undefined
-      and it may raise ``ContractError``.  It must be a pure function of its
-      arguments: it leaves ``theta`` unchanged and keeps no state between
-      calls.  The coordinate sweep passes ``j`` as an int and ``value`` as a
-      Python float, and ``theta`` as the float array it updates; a cheap diff
-      should read ``theta.item(j)`` so that its arithmetic stays on Python
-      floats, which is faster than numpy scalars and gives the same IEEE
-      results.
+      with the discontinuous coordinates of ``theta`` on the support.  The
+      smooth block may lie anywhere, because the split step sweeps wherever
+      its half drift lands; off the support the result is ``+inf`` or
+      finite, never NaN and never an exception.  It must be a pure function
+      of its arguments: it leaves ``theta`` unchanged and keeps no state
+      between calls.  The coordinate sweep passes ``j`` as an int and
+      ``value`` as a Python float, and ``theta`` as the float array it
+      updates; a cheap diff should read ``theta.item(j)`` so that its
+      arithmetic stays on Python floats, which is faster than numpy scalars
+      and gives the same IEEE results.
 
     ``embeddings`` maps a coordinate index to the EmbeddingMap that decodes it
     back to an integer; coordinates absent from the dict are genuinely

@@ -88,7 +88,10 @@ def _sweep_inplace(model, theta, p, order, eps, m_by, minv_by):
     as an int and ``value`` as a Python float; IEEE arithmetic makes every
     result bit-identical to numpy scalars.
 
-    Returns (flips, potential_evals).  Precondition: potential(theta) finite.
+    Returns (flips, potential_evals).  Precondition: the coordinates in
+    ``order`` lie on the support.  The smooth block may have drifted off it;
+    every diff is then ``+inf`` or finite, so such a sweep bounces or moves
+    but never raises, and the caller's closing potential rejects it.
     """
     flips = 0
     evals = 0
@@ -127,7 +130,8 @@ def _sweep_inplace(model, theta, p, order, eps, m_by, minv_by):
             theta[j] = new
             u1 = pot(theta)
             evals += 2
-            du = u1 - u0
+            # off the support every update bounces, as a +inf diff would
+            du = np.inf if u0 == np.inf else u1 - u0
             if du != du:
                 raise ModelError(f"{model.name} returned NaN potential")
             if abs(pj) * minv > du:
@@ -162,26 +166,22 @@ def _dhmc_step_inplace(model, theta, p, smooth, mass, eps, order, m_by, minv_by,
     smooth block).  Returns (flips, evals, diverged, u_end, g_end): the
     potential and the smooth-block gradient at the final position, which the
     next step takes as its ``g`` and the acceptance test uses.  Both are None
-    without a smooth block or after a divergence.
+    without a smooth block or after a divergence.  The step's one potential
+    call is at its end: the sweep runs wherever the first half drift lands,
+    and a step that ends off the support diverges.
     """
     if not len(smooth):
         flips, evals = _sweep_inplace(model, theta, p, order, eps, m_by, minv_by)
         return flips, evals, False, None, None
-    flips = 0
-    evals = 0
     half = 0.5 * eps
     p[smooth] -= half * g
     if len(order):
         theta[smooth] += half * mass.smooth_velocity(p[smooth])
-        # the sweep's precondition: a finite potential where it starts
-        u_mid = _potential_checked(model, theta)
-        evals += 1
-        if u_mid == np.inf:
-            return flips, evals, True, None, None
-        flips, e = _sweep_inplace(model, theta, p, order, eps, m_by, minv_by)
-        evals += e
+        flips, evals = _sweep_inplace(model, theta, p, order, eps, m_by,
+                                      minv_by)
         theta[smooth] += half * mass.smooth_velocity(p[smooth])
     else:
+        flips = evals = 0
         theta[smooth] += eps * mass.smooth_velocity(p[smooth])
     u_end = _potential_checked(model, theta)
     evals += 1
@@ -214,7 +214,8 @@ def coord_step(model: TargetModel, state: PhaseState, j: int, eps: float,
     Proposes theta_j + eps * sign(p_j) / m_j; the move happens when
     |p_j| / m_j exceeds the potential increase, with the momentum reduced by
     m_j * dU, otherwise p_j is flipped in place.  Ties bounce, sign(0) = +1,
-    an infinite dU always bounces.  Precondition: potential(theta) is finite.
+    an infinite dU always bounces.  Precondition: theta_j lies on the
+    support, as in ``coord_sweep``.
     """
     return coord_sweep(model, state, SweepOrder(perm=[j]), eps, mass)
 
@@ -224,7 +225,9 @@ def coord_sweep(model: TargetModel, state: PhaseState, order: SweepOrder,
     """Apply coord_step to every coordinate of ``order`` in sequence.
 
     Preserves the Hamiltonian exactly regardless of the potential, which is
-    why no acceptance test is needed downstream.
+    why no acceptance test is needed downstream.  Precondition: the
+    coordinates of ``order`` lie on the support.  The others may lie
+    anywhere; every potential difference there is ``+inf`` or finite.
     """
     _check_step_args(model, state, mass, eps, order.perm)
     theta = state.theta.copy()
@@ -244,8 +247,10 @@ def dhmc_step(model: TargetModel, state: PhaseState, eps: float, mass: MassSpec,
     an empty sweep the two half drifts fuse into one full drift, so the step
     is exactly one velocity-Verlet (leapfrog) step: second-order accurate for
     smooth potentials and silently wrong across an undeclared jump.  With an
-    empty smooth block it is exactly ``coord_sweep``.  A drift that lands
-    outside the support marks the outcome divergent and keeps the start state.
+    empty smooth block it is exactly ``coord_sweep``.  Precondition: the
+    discontinuous block lies on the support.  The sweep runs wherever the
+    first half drift lands, even off the support; a step that ends off the
+    support marks the outcome divergent and keeps the start state.
     """
     _check_step_args(model, state, mass, eps, order.perm)
     theta = state.theta.copy()

@@ -189,18 +189,21 @@ class ArchChangePointTarget(TargetModel):
         K = self.k_max
         la = theta[0] + theta[2:2 + k].sum()
         lb = theta[1] + theta[2 + K:2 + K + k].sum()
-        a_k, a_next = np.exp((la, la + theta[2 + k]))
-        b_k, b_next = np.exp((lb, lb + theta[2 + K + k]))
         lo, hi = min(old, new), max(old, new)
         ylag2 = self._ylag2[lo - 1:hi - 1]
         ysq = self._ysq[lo - 1:hi - 1]
-        s_k = a_k + b_k * ylag2
-        s_next = a_next + b_next * ylag2
-        s_old, s_new = (s_next, s_k) if new > old else (s_k, s_next)
-        if np.any(s_new <= 0.0):
-            return float("inf")
-        return float(0.5 * (np.log(s_new / s_old)
-                            + ysq / s_new - ysq / s_old).sum())
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            a_k, a_next = np.exp((la, la + theta[2 + k]))
+            b_k, b_next = np.exp((lb, lb + theta[2 + K + k]))
+            s_k = a_k + b_k * ylag2
+            s_next = a_next + b_next * ylag2
+            s_old, s_new = (s_next, s_k) if new > old else (s_k, s_next)
+            du = float(0.5 * (np.log(s_new / s_old)
+                              + ysq / s_new - ysq / s_old).sum())
+        # Only a variance that overflows or vanishes makes du inf or NaN.
+        # The potential is then +inf on the new side, or on the old side
+        # after a smooth drift off the support: either way the diff is +inf.
+        return du if math.isfinite(du) else math.inf
 
     def grad_smooth(self, theta):
         la0, lb0, da, db, lea, leb, lsa, lsb, taut = self._split(theta)

@@ -15,8 +15,8 @@ as the exact Normal interval mass on [n, n+1), plus pi(U_1) ~ 1/U_1.
 
 ``potential_diff`` is O(1) for the embedded U coordinates: it decodes only
 the moved count and its two neighbours in the chain, the only other counts
-its terms read.  Moves of the continuous coordinates fall back to two full
-potential evaluations internally.
+its terms read, and runs on Python floats.  Moves of the continuous
+coordinates fall back to two full potential evaluations internally.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = ["JollySeberStats", "JollySeberTarget", "survival_chi",
 
 _EMPTY = np.array([], dtype=np.intp)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -94,17 +95,39 @@ def survival_chi(phi, p):
     return chi
 
 
-def _interval_normal_logmass(n, mu, sd):
-    """log P(n <= X < n+1) for X ~ N(mu, sd^2), stable in both tails."""
+def _normal_cdf(x: float) -> float:
+    """The standard Normal cdf on Python floats."""
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
+
+def _interval_normal_logmass(n, mu, sd, cdf=ndtr):
+    """log P(n <= X < n+1) for X ~ N(mu, sd^2), stable in both tails.
+
+    ``potential_diff`` passes ``cdf=_normal_cdf`` to stay on Python floats;
+    ``potential`` and ``grad_smooth`` keep scipy's ``ndtr``.
+    """
     z0 = (n - mu) / sd
     z1 = (n + 1.0 - mu) / sd
     if z0 + z1 > 0.0:
-        mass = ndtr(-z0) - ndtr(-z1)
+        mass = cdf(-z0) - cdf(-z1)
     else:
-        mass = ndtr(z1) - ndtr(z0)
+        mass = cdf(z1) - cdf(z0)
     if mass <= 0.0:
         return -np.inf
     return math.log(mass)
+
+
+def _softplus(x: float) -> float:
+    """log(1 + e^x) without overflow; -log(1 - expit(x)) for a log-odds x."""
+    if x > 0.0:
+        return x + math.log1p(math.exp(-x))
+    return math.log1p(math.exp(x))
+
+
+def _logistic_var(x: float) -> float:
+    """expit(x) * (1 - expit(x)) without overflow."""
+    e = math.exp(-abs(x))
+    return e / ((1.0 + e) * (1.0 + e))
 
 
 class JollySeberTarget(TargetModel):
@@ -136,6 +159,9 @@ class JollySeberTarget(TargetModel):
                 raise ContractError(f"unknown embedding kind {kind!r}")
             self.emaps.append(emap)
         self.embeddings = {int(j): m for j, m in zip(self._disc, self.emaps)}
+        # per-occasion ints for the float arithmetic of potential_diff
+        self._u_obs = stats.u.tolist()
+        self._u_lo = [emap.lo for emap in self.emaps]
 
     @property
     def smooth_idx(self):
@@ -242,56 +268,52 @@ class JollySeberTarget(TargetModel):
         g[T:] = phi * (1.0 - phi) * du_dphi + (2.0 * phi - 1.0)
         return g
 
-    def _u_value(self, theta, i):
-        """Decoded U_{i+1} (0-based i) of an in-support theta."""
-        emap = self.emaps[i]
-        return float(emap.values[emap.cell_of(theta[2 * self.T - 1 + i])])
-
-    def _u_local_terms(self, i, cell, lp, lphi, u_prev, u_next):
-        """Terms of the potential that involve U_{i+1} (0-based i).
-
-        ``u_prev`` and ``u_next`` are the decoded neighbours U_i and U_{i+2}
-        (None past either end of the chain).
-        """
-        st = self.stats
-        emap = self.emaps[i]
-        Ui = float(emap.values[cell])
-        log_1mp = -np.logaddexp(0.0, lp[i])
-        pot = -(gammaln(Ui + 1.0) - gammaln(Ui - st.u[i] + 1.0)
-                + (Ui - st.u[i]) * log_1mp)
-        pot += math.log(emap.knots[cell + 1] - emap.knots[cell])
-        if i == 0:
-            pot += math.log(Ui)
-        if i > 0:
-            phi = expit(lphi[i - 1])
-            s = math.sqrt(self.sigma_b ** 2 + phi * (1.0 - phi))
-            pot -= _interval_normal_logmass(Ui, u_prev - st.u[i - 1], s)
-        if i < self.T - 1:
-            phi = expit(lphi[i])
-            s = math.sqrt(self.sigma_b ** 2 + phi * (1.0 - phi))
-            pot -= _interval_normal_logmass(u_next, Ui - st.u[i], s)
-        return float(pot)
+    def _u_cell(self, theta, i):
+        """Cell of the embedded U_{i+1} (0-based i) of an in-support theta."""
+        return int(self.emaps[i].knots.searchsorted(
+            theta.item(2 * self.T - 1 + i))) - 1
 
     def potential_diff(self, theta, j, value):
-        first_u = 2 * self.T - 1
-        if j < first_u:
+        T = self.T
+        i = j - (2 * T - 1)
+        if i < 0:
             moved = theta.copy()
             moved[j] = value
             return self.potential(moved) - self.potential(theta)
-        i = j - first_u
-        emap = self.emaps[i]
-        if not emap.contains(value):
-            return float("inf")
-        cell0 = emap.cell_of(theta[j])
-        cell1 = emap.cell_of(value)
+        knots = self.emaps[i].knots
+        if not knots.item(0) < value <= knots.item(-1):
+            return math.inf
+        cell0 = self._u_cell(theta, i)
+        cell1 = int(knots.searchsorted(value)) - 1
         if cell0 == cell1:
             return 0.0
-        lp, lphi, _ = self._split(theta)
-        u_prev = self._u_value(theta, i - 1) if i > 0 else None
-        u_next = self._u_value(theta, i + 1) if i < self.T - 1 else None
-        before = self._u_local_terms(i, cell0, lp, lphi, u_prev, u_next)
-        after = self._u_local_terms(i, cell1, lp, lphi, u_prev, u_next)
-        return after - before
+        # The terms that read U_{i+1}, new minus old: its first-capture
+        # binomial, its cell width, the 1/U_1 prior and the two Normal links
+        # of the U chain.  Each reads one smooth coordinate at most.
+        u = self._u_obs[i]
+        U0 = float(self._u_lo[i] + cell0)
+        U1 = float(self._u_lo[i] + cell1)
+        lgamma = math.lgamma
+        du = (lgamma(U0 + 1.0) - lgamma(U0 - u + 1.0)
+              - lgamma(U1 + 1.0) + lgamma(U1 - u + 1.0)
+              + (U1 - U0) * _softplus(theta.item(i))  # -log(1 - p_{i+1})
+              + math.log((knots.item(cell1 + 1) - knots.item(cell1))
+                         / (knots.item(cell0 + 1) - knots.item(cell0))))
+        var_b = self.sigma_b ** 2
+        if i == 0:
+            du += math.log(U1 / U0)
+        else:  # U_{i+1} | U_i, with the variance of phi_i
+            mu = (self._u_lo[i - 1] + self._u_cell(theta, i - 1)
+                  - self._u_obs[i - 1])
+            s = math.sqrt(var_b + _logistic_var(theta.item(T + i - 1)))
+            du += (_interval_normal_logmass(U0, mu, s, _normal_cdf)
+                   - _interval_normal_logmass(U1, mu, s, _normal_cdf))
+        if i < T - 1:  # U_{i+2} | U_{i+1}, with the variance of phi_{i+1}
+            n = self._u_lo[i + 1] + self._u_cell(theta, i + 1)
+            s = math.sqrt(var_b + _logistic_var(theta.item(T + i)))
+            du += (_interval_normal_logmass(n, U0 - u, s, _normal_cdf)
+                   - _interval_normal_logmass(n, U1 - u, s, _normal_cdf))
+        return du
 
     def initial_theta(self, rng):
         """A dispersed but in-support start near plausible parameter values."""

@@ -462,6 +462,42 @@ def test_dhmc_step_divergence_keeps_start_state():
     np.testing.assert_array_equal(out.state.p, st.p)
 
 
+class _BandedMix(CoupledMix):
+    """CoupledMix whose smooth coordinate is off the support in (1.0, 1.2)."""
+
+    def potential(self, theta):
+        if 1.0 < theta[0] < 1.2:
+            return float("inf")
+        return super().potential(theta)
+
+
+class _BandedMixNoDiff(_BandedMix):
+    potential_diff = None
+
+
+@pytest.mark.parametrize("make, evals, flips", [
+    (_BandedMix, 1 + 3, None),        # one diff, the closing calls
+    (_BandedMixNoDiff, 2 + 3, 1),     # the fallback's two potentials
+])
+def test_dhmc_step_sweeps_where_the_half_drift_leaves_the_support(
+        make, evals, flips):
+    # The half drift lands at 1.082, inside the band; the step ends at 1.264.
+    # Only the closing potential decides the divergence, so the sweep runs
+    # off the support: a diff there is finite, the fallback's two +inf
+    # potentials bounce, and neither raises.
+    model = make()
+    mass = MassSpec.diagonal([1.0], [1.0])
+    st = PhaseState([0.9, model.emap.embed_center(2)], [2.0, 0.3], [0], [1])
+    out = dhmc_step(model, st, 0.2, mass, _order(1))
+    assert not out.diverged
+    assert out.state.theta[0] > 1.2
+    assert out.potential_evals == evals  # with the entry gradient
+    if flips is not None:
+        assert out.flips == flips
+        assert out.state.theta[1] == st.theta[1]
+        assert out.state.p[1] == -0.3
+
+
 # ------------------------------- leapfrog: dhmc_step with an empty sweep
 
 

@@ -7,6 +7,8 @@
 - ``grad_smooth`` matches central finite differences;
 - a proposed value off the support gives ``+inf`` from both the
   ``potential`` and the ``potential_diff`` path, never an exception or NaN;
+- with the smooth block anywhere, as the split step's half drift leaves it,
+  ``potential_diff`` is ``+inf`` or finite and raises nothing;
 - ``grad_smooth`` at a point off the support, where the contract does not
   call it, raises ``ContractError``.
 """
@@ -50,8 +52,15 @@ WITH_SMOOTH = [n for n, make in MODELS.items() if len(make().smooth_idx)]
 
 
 def assert_diff_matches(model, theta, j, value, got):
-    """``got`` equals the two-potential reference, ``+inf`` exactly when it is."""
+    """``got`` equals the two-potential reference, ``+inf`` exactly when it is.
+
+    Where the smooth block of ``theta`` lies off the support, the contract
+    asks only for ``+inf`` or a finite value.
+    """
     old = model.potential(theta)
+    if old == math.inf:
+        assert got == math.inf or math.isfinite(got), (j, value, got)
+        return
     assert math.isfinite(old)
     moved = theta.copy()
     moved[j] = value
@@ -146,23 +155,34 @@ def test_arch_cp_middle_change_point_meets_both_neighbours():
 
 def test_jolly_seber_diff_at_support_edges():
     model = MODELS["jolly_seber"]()
-    first = 2 * model.T - 1
+    T = model.T
+    first = 2 * T - 1
     for i, emap in enumerate(model.emaps):  # the first, middle and last count
         j = first + i
-        theta = model.initial_theta(np.random.default_rng(i))
-        theta[j] = emap.embed_center(emap.lo)
-        for value, finite in ((emap.knots[0], False), (emap.knots[0] - 0.3, False),
-                              (emap.embed_center(emap.lo + 1), True)):
-            got = model.potential_diff(theta, j, value)
-            assert_diff_matches(model, theta, j, value, got)
-            assert math.isfinite(got) == finite
-        theta[j] = emap.embed_center(model.n_max)
-        for value, finite in ((emap.knots[-1] + 0.01, False),
-                              (emap.knots[-1], True),
-                              (emap.embed_center(model.n_max - 1), True)):
-            got = model.potential_diff(theta, j, value)
-            assert_diff_matches(model, theta, j, value, got)
-            assert math.isfinite(got) == finite
+        # the log-odds the terms of U_{i+1} read: p_{i+1}, phi_i, phi_{i+1}
+        logits = [i] + [T + k for k in (i - 1, i) if 0 <= k < T - 1]
+        for at, logit in [(None, None)] + [
+                (at, logit) for at in logits
+                for logit in (30.0, -30.0, 750.0, -750.0)]:
+            theta = model.initial_theta(np.random.default_rng(i))
+            if at is not None:
+                theta[at] = logit
+            theta[j] = emap.embed_center(emap.lo)
+            for value, finite in ((emap.knots[0], False),
+                                  (emap.knots[0] - 0.3, False),
+                                  (emap.embed_center(emap.lo + 1), True),
+                                  (emap.embed_center(emap.lo + 40), True)):
+                got = model.potential_diff(theta, j, value)
+                assert_diff_matches(model, theta, j, value, got)
+                assert math.isfinite(got) == finite, (at, logit, value, got)
+            theta[j] = emap.embed_center(model.n_max)
+            for value, finite in ((emap.knots[-1] + 0.01, False),
+                                  (emap.knots[-1], True),
+                                  (emap.embed_center(model.n_max - 1), True),
+                                  (emap.embed_center(emap.lo), True)):
+                got = model.potential_diff(theta, j, value)
+                assert_diff_matches(model, theta, j, value, got)
+                assert math.isfinite(got) == finite, (at, logit, value, got)
 
 
 # ----------------------------------------------------------------- purity
@@ -292,6 +312,56 @@ def test_arch_cp_overflowing_scale_squares_are_silent(levels, finite):
             pass
         else:
             assert np.all(np.isfinite(g)), g
+
+
+@pytest.mark.parametrize("name", ["jolly_seber", "arch_cp"])
+def test_diff_with_a_far_smooth_block_is_inf_or_finite(name):
+    # The split step sweeps wherever its half drift lands; a smooth value of
+    # +-750 overflows exp, so arch_cp's potential is +inf there.
+    model = MODELS[name]()
+    rng = np.random.default_rng(6)
+    smooth = model.smooth_idx
+    signs = [np.ones(len(smooth)), -np.ones(len(smooth)),
+             rng.choice([-1.0, 1.0], len(smooth))]
+    for sign in signs:
+        theta = model.initial_theta(rng)
+        theta[smooth] = 750.0 * sign
+        for j in model.disc_idx:
+            knots = model.embeddings[int(j)].knots
+            for value in (theta[j] - 3.0, theta[j] - 1.0, theta[j] + 1.0,
+                          theta[j] + 3.0, knots[0], knots[-1]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = model.potential_diff(theta, int(j), float(value))
+                assert got == math.inf or math.isfinite(got), (j, value, got)
+                assert_diff_matches(model, theta, int(j), float(value), got)
+
+
+@pytest.mark.parametrize("coord, level, always_inf", [
+    (0, 720.0, True),   # log_a0: every level a_k overflows
+    (3, 720.0, True),   # da2: la + da_2 overflows, so the last level a_2
+    # log_b0: b_k is finite and b_k * y_{t-1}^2 overflows only at some t, so
+    # a move that switches only other times has a finite diff
+    (1, 708.0, False),
+])
+def test_arch_cp_change_point_diff_is_inf_when_a_level_overflows(
+        coord, level, always_inf):
+    model = small_arch_cp()
+    K, first = model.k_max, model._n_smooth
+    assert model.param_names[coord] in ("log_a0", "da2", "log_b0")
+    theta = model.initial_theta(np.random.default_rng(1))
+    theta[coord] = level
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.potential(theta) == np.inf
+        # the last change point borders the segments K-1 and K
+        for step in (-3.0, -1.0, 1.0, 3.0):
+            value = float(theta[first + K - 1] + step)
+            got = model.potential_diff(theta, first + K - 1, value)
+            if always_inf:
+                assert got == np.inf, (step, got)
+            else:
+                assert got == np.inf or math.isfinite(got), (step, got)
 
 
 @pytest.mark.parametrize("name", sorted(set(MODELS) - set(BOUNDED)))

@@ -481,6 +481,18 @@ def test_split_step_carries_its_closing_gradient():
     assert model.calls["grad_smooth"] == steps + cfg.n_samples
 
 
+def test_split_step_makes_one_potential_call():
+    # the closing potential of each step, plus the initial-point check
+    model = Counted(CoupledMix())
+    cfg = SamplerConfig(kernel="dhmc", eps_range=(0.3, 0.6), path_len=(2, 5),
+                        n_warmup=0, n_samples=60, tune_eps=False,
+                        tune_mass=False, seed=23)
+    store = run_chain(model, None, cfg)
+    assert store.divergences == 0
+    steps = int(store.trace["path_len"].sum())
+    assert model.calls["potential"] == 1 + steps
+
+
 def test_arch_cp_change_point_update_is_one_diff_call():
     # each tau update of a dhmc sweep is one potential_diff call, and that
     # call evaluates no potential of its own
@@ -501,8 +513,8 @@ def test_arch_cp_change_point_update_is_one_diff_call():
     assert store.divergences == 0
     steps = int(store.trace["path_len"].sum())
     assert model.calls["potential_diff"] == arch.k_max * steps
-    # the initial-point check, then one mid-step and one closing potential
-    assert model.calls["potential"] == 1 + 2 * steps
+    # the initial-point check, then one closing potential per step
+    assert model.calls["potential"] == 1 + steps
     assert len(all_potentials) == model.calls["potential"]
 
 
