@@ -154,48 +154,63 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _sample_columns(store):
-    """(header, values, integer?) triples in file order."""
-    cols = []
-    for i, name in enumerate(store.names):
-        emap = store.embeddings.get(i)
-        if emap is None:
-            cols.append((name, store.draws[:, i], False))
-        else:
-            cols.append((name, emap.decode(store.draws[:, i]), True))
-            cols.append((name + "_emb", store.draws[:, i], False))
-    return cols
+# json.dumps spells the non-finite floats differently from repr.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _column_strs(col: np.ndarray, json_floats: bool = False):
+    """Lazy ``_fmt`` strings of one column, converted to Python values once;
+    ``json_floats`` spells non-finite floats as ``json.dumps`` does."""
+    vals = col.tolist()
+    if col.dtype == np.bool_:
+        return map(("0", "1").__getitem__, vals)
+    if col.dtype.kind in "iu":
+        return map(str, vals)
+    if json_floats:
+        return (_JSON_NONFINITE.get(s, s) for s in map(repr, vals))
+    return map(repr, vals)
+
+
+def _write_rows(path: str, header: str, template: str, cols: list):
+    """Write ``header``, then ``template % row`` for each row of ``cols``."""
+    with open(path, "w") as fh:
+        fh.write(header)
+        fh.writelines(map(template.__mod__, zip(*cols)))
+    return path
 
 
 def _write_samples(store, chain_dir: str, fmt: str):
-    cols = _sample_columns(store)
-    if fmt == "jsonl":
-        path = os.path.join(chain_dir, "samples.jsonl")
-        with open(path, "w") as fh:
-            for r in range(store.n_samples):
-                rec = {h: (int(v[r]) if is_int else float(v[r]))
-                       for h, v, is_int in cols}
-                fh.write(json.dumps(rec) + "\n")
-        return path
-    path = os.path.join(chain_dir, "samples.csv")
-    with open(path, "w") as fh:
-        fh.write(",".join(h for h, _, _ in cols) + "\n")
-        for r in range(store.n_samples):
-            fh.write(",".join(str(int(v[r])) if is_int else _fmt(float(v[r]))
-                              for _, v, is_int in cols) + "\n")
-    return path
+    """Decoded value per parameter, plus ``<name>_emb`` for embedded ones."""
+    heads, cols = [], []
+    for i, name in enumerate(store.names):
+        emap = store.embeddings.get(i)
+        if emap is not None:
+            heads.append(name)
+            cols.append(emap.decode(store.draws[:, i]))
+            name += "_emb"
+        heads.append(name)
+        cols.append(store.draws[:, i])
+    strs = [_column_strs(c, fmt == "jsonl") for c in cols]
+    if fmt == "jsonl":  # the bytes of json.dumps(record), one per row
+        fields = (json.dumps(h).replace("%", "%%") + ": %s" for h in heads)
+        template = "{" + ", ".join(fields) + "}\n"
+        return _write_rows(os.path.join(chain_dir, "samples.jsonl"), "",
+                           template, strs)
+    return _write_rows(os.path.join(chain_dir, "samples.csv"),
+                       ",".join(heads) + "\n",
+                       ",".join(["%s"] * len(heads)) + "\n", strs)
 
 
 TRACE_FIELDS = ("iteration",) + TRACE_DTYPE.names
 
 
 def _write_trace(store, chain_dir: str):
-    path = os.path.join(chain_dir, "trace.csv")
-    with open(path, "w") as fh:
-        fh.write(",".join(TRACE_FIELDS) + "\n")
-        for i, row in enumerate(store.trace.tolist()):
-            fh.write(",".join(_fmt(v) for v in (i,) + row) + "\n")
-    return path
+    trace = store.trace
+    cols = [map(str, range(len(trace)))]
+    cols += [_column_strs(trace[name]) for name in TRACE_DTYPE.names]
+    return _write_rows(os.path.join(chain_dir, "trace.csv"),
+                       ",".join(TRACE_FIELDS) + "\n",
+                       ",".join(["%s"] * len(TRACE_FIELDS)) + "\n", cols)
 
 
 def _chain_report(store, index: int, scfg: SamplerConfig, model_name: str) -> dict:

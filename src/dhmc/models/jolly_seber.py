@@ -207,10 +207,15 @@ class JollySeberTarget(TargetModel):
         # First captures.
         pot = -float(np.sum(gammaln(U + 1.0) - gammaln(U - st.u + 1.0)
                             + st.u * log_p + (U - st.u) * log_1mp))
-        # Recaptures.
-        chi = survival_chi(phi, p)
+        # Recaptures.  The c_i never-seen-again animals of occasion i add
+        # c_i log chi_i: nothing when c_i = 0, -inf when chi_i rounds to 0.
+        chi = survival_chi(phi, p)[:-1]
         c = st.R[:-1] - st.r[:-1]
-        pot -= float(np.sum(c * np.log(chi[:-1])
+        if 0.0 in chi.tolist():
+            if np.any(c[chi == 0.0]):
+                return float("inf")
+            chi = np.where(chi == 0.0, 1.0, chi)
+        pot -= float(np.sum(c * np.log(chi)
                             + st.z[1:] * (log_phi + log_1mp[1:])
                             + st.m[1:] * (log_phi + log_p[1:])))
         # Priors on the U chain.
@@ -236,6 +241,14 @@ class JollySeberTarget(TargetModel):
         p = expit(lp)
         phi = expit(lphi)
         chi = survival_chi(phi, p)
+        c = st.R[:-1] - st.r[:-1]
+        # the divisor of c_i / chi_i; as in potential, the term is 0 where
+        # c_i = 0 and the potential +inf where c_i > 0, once chi_i is 0
+        div = chi
+        if 0.0 in chi.tolist():
+            if np.any(c[chi[:-1] == 0.0]):
+                raise ContractError("gradient queried where the potential is +inf")
+            div = np.where(chi == 0.0, 1.0, chi)
 
         du_dp = -st.u / p + (U - st.u) / (1.0 - p)
         du_dphi = np.zeros(T - 1)
@@ -243,10 +256,9 @@ class JollySeberTarget(TargetModel):
         du_dp[1:] += st.z[1:] / (1.0 - p[1:]) - st.m[1:] / p[1:]
         du_dphi -= (st.z[1:] + st.m[1:]) / phi
         # Never-seen-again part via the adjoint of the chi recursion.
-        c = st.R[:-1] - st.r[:-1]
         lam = np.empty(T - 1)
         for i in range(T - 1):
-            lam[i] = -c[i] / chi[i]
+            lam[i] = -c[i] / div[i]
             if i > 0:
                 lam[i] += lam[i - 1] * phi[i - 1] * (1.0 - p[i])
         du_dphi += lam * (chi[:-1] - 1.0) / phi

@@ -152,44 +152,44 @@ def _draw_path_len(rng: np.random.Generator, lo: int, hi: int) -> int:
     return int(lo)
 
 
-def _dhmc_move(model, state, rng, eps_range, path_range, mass, u_current):
-    """One transition of the trajectory core; returns (state, trace row,
+def _dhmc_move(model, theta, smooth, disc, rng, eps_range, path_range, mass,
+               u_current):
+    """One transition of the trajectory core; returns (theta, trace row,
     cached potential).
 
     Every kernel but ``rwm`` is this move: ``hmc`` on an all-smooth
     partition, ``mwg`` with path range (1, 1) on an all-discontinuous one.
     With an empty smooth block the energy is conserved exactly, so the
     proposal is accepted with probability one and no potential value is
-    needed; the cached potential is then None.
+    needed; the cached potential is then None.  ``theta`` is not modified;
+    an accepted proposal is a new array.
     """
     eps = _draw_eps(rng, eps_range)
     L = _draw_path_len(rng, *path_range)
-    smooth = state.smooth_idx
-    disc = state.disc_idx
     p = sample_momentum(rng, mass, smooth, disc)
     order = SweepOrder.draw(rng, disc)
-    theta = state.theta.copy()
+    prop = theta.copy()
     pv = p.copy()
-    m_by, minv_by = _mass_lookup(mass, disc, state.dim)
+    m_by, minv_by = _mass_lookup(mass, disc, len(theta))
     flips = 0
     evals = 0
     updates = L * len(disc)
     g = None
     if len(smooth):
         if u_current is None:
-            u_current = _potential_checked(model, state.theta)
+            u_current = _potential_checked(model, theta)
             evals += 1
         k0 = kinetic_energy(p, mass, smooth, disc)
-        g = _grad_checked(model, theta)
+        g = _grad_checked(model, prop)
         evals += 1
     for _ in range(L):
         f, e, diverged, u_end, g = _dhmc_step_inplace(
-            model, theta, pv, smooth, mass, eps, order.perm, m_by, minv_by, g)
+            model, prop, pv, smooth, mass, eps, order.perm, m_by, minv_by, g)
         flips += f
         evals += e
         if diverged:
             row = (False, np.inf, flips, updates, evals, eps, L, True)
-            return state, row, u_current
+            return theta, row, u_current
     delta_h = 0.0
     accepted = True
     if len(smooth):
@@ -198,8 +198,8 @@ def _dhmc_move(model, state, rng, eps_range, path_range, mass, u_current):
         accepted = bool(np.log(rng.uniform()) < -delta_h)
     row = (accepted, delta_h, flips, updates, evals, eps, L, False)
     if accepted:
-        return PhaseState(theta, pv, smooth, disc), row, u_end
-    return state, row, u_current
+        return prop, row, u_end
+    return theta, row, u_current
 
 
 def _proposal_factor(rwm_cov, dim):
@@ -219,27 +219,28 @@ def _proposal_factor(rwm_cov, dim):
     raise ConfigError(f"rwm_cov has shape {cov.shape}, expected ({dim},) or ({dim}, {dim})")
 
 
-def _rwm_move(model, state, rng, eps_range, factor, u_current):
+def _rwm_move(model, theta, rng, eps_range, factor, u_current):
+    """One random-walk Metropolis transition; returns (theta, trace row,
+    cached potential)."""
     eps = _draw_eps(rng, eps_range)
-    z = rng.standard_normal(state.dim)
+    z = rng.standard_normal(len(theta))
     if factor is None:
         step = eps * z
     elif factor.ndim == 1:
         step = eps * (factor * z)
     else:
         step = eps * (factor @ z)
-    prop = state.theta + step
+    prop = theta + step
     evals = 0
     if u_current is None:
-        u_current = _potential_checked(model, state.theta)
+        u_current = _potential_checked(model, theta)
         evals += 1
     u_prop = _potential_checked(model, prop)
     evals += 1
     delta = u_prop - u_current
     if np.log(rng.uniform()) < -delta:
-        new = PhaseState(prop, state.p, state.smooth_idx, state.disc_idx)
-        return new, (True, float(delta), 0, 0, evals, eps, 0, False), u_prop
-    return state, (False, float(delta), 0, 0, evals, eps, 0, False), u_current
+        return prop, (True, float(delta), 0, 0, evals, eps, 0, False), u_prop
+    return theta, (False, float(delta), 0, 0, evals, eps, 0, False), u_current
 
 
 @dataclass
@@ -354,8 +355,10 @@ def run_chain(model: TargetModel, init, cfg: SamplerConfig,
     if theta0.shape != (model.dim,):
         raise ConfigError(f"initial point has shape {theta0.shape}, "
                           f"expected ({model.dim},)")
-    state = PhaseState(theta0, np.zeros(model.dim), smooth, disc)
-    u0 = float(model.potential(state.theta))
+    # The one validation of the chain: every later state is an accepted
+    # proposal, whose potential the move has already found finite.
+    theta = PhaseState(theta0, np.zeros(model.dim), smooth, disc).theta
+    u0 = float(model.potential(theta))
     if not np.isfinite(u0):
         raise ConfigError("initial point has non-finite potential")
 
@@ -383,22 +386,23 @@ def run_chain(model: TargetModel, init, cfg: SamplerConfig,
     if cfg.kernel == "rwm" and cfg.rwm_cov is not None:
         tune_mass = False  # an explicit proposal covariance is kept as given
 
-    def move(st, eps_range, cur_mass, cur_factor, u_in):
+    def move(th, eps_range, cur_mass, cur_factor, u_in):
         if cfg.kernel == "rwm":
-            return _rwm_move(model, st, rng, eps_range, cur_factor, u_in)
-        return _dhmc_move(model, st, rng, eps_range, path_range, cur_mass, u_in)
+            return _rwm_move(model, th, rng, eps_range, cur_factor, u_in)
+        return _dhmc_move(model, th, smooth, disc, rng, eps_range, path_range,
+                          cur_mass, u_in)
 
     rows = np.empty(cfg.n_warmup + cfg.n_samples, dtype=TRACE_DTYPE)
     warmup_trace, trace = rows[:cfg.n_warmup], rows[cfg.n_warmup:]
     for i in range(cfg.n_warmup):
         eps_range = (ts.eps, ts.eps) if tune_eps else cfg.eps_range
-        state, warmup_trace[i], u_cur = move(state, eps_range, mass, factor,
+        theta, warmup_trace[i], u_cur = move(theta, eps_range, mass, factor,
                                              u_cur)
         if tune_eps:
             ts = adapt_stepsize(ts, _iteration_statistic(warmup_trace[i]))
         if tune_mass and mass_update_at is not None:
             if i < mass_update_at:
-                ts = ts.observe_draw(state.theta)
+                ts = ts.observe_draw(theta)
             elif i == mass_update_at:
                 if ts.count >= 10:
                     if cfg.kernel == "rwm":
@@ -421,9 +425,9 @@ def run_chain(model: TargetModel, init, cfg: SamplerConfig,
 
     draws = np.empty((cfg.n_samples, model.dim))
     for i in range(cfg.n_samples):
-        state, trace[i], u_cur = move(state, final_eps_range, mass, factor,
+        theta, trace[i], u_cur = move(theta, final_eps_range, mass, factor,
                                       u_cur)
-        draws[i] = state.theta
+        draws[i] = theta
 
     return SampleStore(
         names=list(model.param_names), draws=draws,

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,13 @@ import pytest
 import yaml
 
 import dhmc
-from dhmc import min_ess_report, run_chain
-from dhmc.cli import (COMPARE_FIELDS, DEFAULT_CONFIG, _load_chain, load_config,
+from dhmc import SampleStore, SamplerConfig, min_ess_report, run_chain
+from dhmc.cli import (COMPARE_FIELDS, DEFAULT_CONFIG, TRACE_FIELDS, _fmt,
+                      _load_chain, _write_samples, _write_trace, load_config,
                       main)
 from dhmc.models import build_model
+
+from conftest import small_jolly_seber
 
 
 def write_config(path, **overrides):
@@ -162,6 +166,61 @@ def test_run_embedded_model_writes_decoded_and_raw(tmp_path):
     for decoded, raw in rows:
         assert float(decoded) == int(decoded)  # written as an integer
         assert int(decoded) == emap.decode(float(raw))
+
+
+def _reference_samples(store, fmt):
+    """The samples file written one value at a time, with ``_fmt`` for csv
+    and one ``json.dumps`` record per row for jsonl."""
+    cols = []
+    for i, name in enumerate(store.names):
+        emap = store.embeddings.get(i)
+        if emap is None:
+            cols.append((name, store.draws[:, i], False))
+        else:
+            cols.append((name, emap.decode(store.draws[:, i]), True))
+            cols.append((name + "_emb", store.draws[:, i], False))
+    rows = range(store.n_samples)
+    if fmt == "jsonl":
+        return "".join(json.dumps({h: int(v[r]) if is_int else float(v[r])
+                                   for h, v, is_int in cols}) + "\n"
+                       for r in rows)
+    lines = [",".join(h for h, _, _ in cols)]
+    lines += [",".join(_fmt(int(v[r]) if is_int else float(v[r]))
+                       for _, v, is_int in cols) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_trace(store):
+    lines = [",".join(TRACE_FIELDS)]
+    lines += [",".join(_fmt(v) for v in (i,) + row)
+              for i, row in enumerate(store.trace.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_writers_match_the_per_value_reference(tmp_path, fmt):
+    model = small_jolly_seber()
+    cfg = SamplerConfig(kernel="dhmc", path_len=3, n_warmup=20, n_samples=40,
+                        seed=5)
+    full = run_chain(model, None, cfg)
+    assert full.embeddings  # decoded integer and ``_emb`` columns
+    # a diverged row, and one of each boolean value
+    full.trace[3] = (False, np.inf, 2, 21, 9, 0.25, 3, True)
+    full.trace[4] = (True, -0.0, 0, 21, 8, 1e-300, 2, False)
+    # non-finite draws, which json.dumps spells NaN and Infinity
+    odd = SampleStore(names=["a", "b"],
+                      draws=np.array([[np.nan, -np.inf], [np.inf, 1e-310]]))
+    empty = replace(full, draws=full.draws[:0], trace=full.trace[:0])
+    for k, store in enumerate((full, odd, empty)):
+        out = tmp_path / str(k)
+        out.mkdir()
+        path = _write_samples(store, str(out), fmt)
+        assert Path(path).read_text() == _reference_samples(store, fmt)
+        path = _write_trace(store, str(out))
+        assert Path(path).read_text() == _reference_trace(store)
+    header = (tmp_path / "2" / f"samples.{fmt}").read_text()
+    assert header.count("\n") == (fmt == "csv")  # header only, or empty
+    assert (tmp_path / "2" / "trace.csv").read_text().count("\n") == 1
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

@@ -21,7 +21,8 @@ import pytest
 
 from dhmc import ContractError, SamplerConfig, run_chain
 from dhmc.embedding import EmbeddingMap
-from dhmc.models import GridTarget, build_model
+from dhmc.models import (GridTarget, JollySeberStats, JollySeberTarget,
+                         build_model)
 
 from conftest import fd_grad, small_arch_cp, small_jolly_seber
 
@@ -282,6 +283,35 @@ def test_arch_cp_gradient_at_an_overflowing_scale_is_a_contract_error():
     assert model.potential(theta) == np.inf
     with pytest.raises(ContractError, match="off support"):
         model.grad_smooth(theta)
+
+
+def test_jolly_seber_never_seen_again_term_where_chi_rounds_to_zero():
+    # c_i = R_i - r_i is 0 at occasion 1 and 15 at occasion 2.  With every
+    # log-odds at +750, p and phi round to 1 and so do chi_1 = chi_2 = 0:
+    # c_1 log chi_1 is 0 * log 0, which must add nothing, and c_2 log chi_2
+    # makes the potential +inf.
+    stats = JollySeberStats(u=[30, 20, 10], m=[0, 10, 10], R=[30, 25, 20],
+                            r=[30, 10, 0], z=[0, 5, 0])
+    model = JollySeberTarget(stats)
+    start = model.initial_theta(np.random.default_rng(2))
+    theta = start.copy()
+    theta[model.smooth_idx] = 750.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.potential(theta) == math.inf
+        with pytest.raises(ContractError, match="potential is \\+inf"):
+            model.grad_smooth(theta)
+    # phi_1 and p_2 at +750 alone: chi_1 = 0 only where c_1 = 0, so the
+    # potential is finite, and so is every diff through it
+    theta = start.copy()
+    theta[[1, model.T]] = 750.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(model.potential(theta))
+        for j in range(model.dim):
+            value = theta[j] + (-1.0 if j < model.T else 0.5)
+            got = model.potential_diff(theta, j, value)
+            assert_diff_matches(model, theta, j, value, got)
 
 
 @pytest.mark.parametrize("levels, finite", [

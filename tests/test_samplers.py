@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from dhmc import (ConfigError, MassSpec, PhaseState, SamplerConfig,
-                  TargetModel, TuneState, adapt_stepsize, run_chain, samplers)
+from dhmc import (ConfigError, ContractError, MassSpec, PhaseState,
+                  SamplerConfig, TargetModel, TuneState, adapt_stepsize,
+                  run_chain, samplers)
 from dhmc.embedding import EmbeddingMap
 from dhmc.models import BananaTarget, BinomialNTarget, GaussianTarget, GridTarget
 
@@ -292,6 +293,16 @@ def test_run_chain_init_validation():
         run_chain(cm, np.array([0.5, 1.5]), untuned)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_chain_rejects_a_non_finite_init(bad):
+    # The chain validates its state once, at the start; the moves carry a
+    # bare theta whose potential they have already found finite.
+    cfg = SamplerConfig(kernel="dhmc", eps_range=(0.3, 0.5), n_warmup=2,
+                        n_samples=2, seed=3)
+    with pytest.raises(ContractError, match="finite"):
+        run_chain(CoupledMix(), np.array([bad, 1.5]), cfg)
+
+
 def test_run_chain_zero_samples():
     cfg = SamplerConfig(kernel="mwg", eps_range=(0.5, 0.5), n_warmup=3,
                         n_samples=0, seed=1)
@@ -537,10 +548,12 @@ def test_cached_potential_is_none_or_exact(kernel, target, monkeypatch):
     seen = []
 
     def checked(move):
-        def wrapped(*args):
-            new, trace, u = move(*args)
+        def wrapped(model_, theta, *args):
+            before = theta.copy()
+            new, trace, u = move(model_, theta, *args)
+            assert np.array_equal(theta, before)  # the input is never written
             if u is not None:
-                ref = model.potential(new.theta)
+                ref = model.potential(new)
                 assert abs(u - ref) <= 1e-12 * max(1.0, abs(ref))
             seen.append(u)
             return new, trace, u
