@@ -154,20 +154,13 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-# json.dumps spells the non-finite floats differently from repr.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _column_strs(col: np.ndarray, json_floats: bool = False):
-    """Lazy ``_fmt`` strings of one column, converted to Python values once;
-    ``json_floats`` spells non-finite floats as ``json.dumps`` does."""
+def _column_strs(col: np.ndarray):
+    """Lazy ``_fmt`` strings of one column, converted to Python values once."""
     vals = col.tolist()
     if col.dtype == np.bool_:
         return map(("0", "1").__getitem__, vals)
     if col.dtype.kind in "iu":
         return map(str, vals)
-    if json_floats:
-        return (_JSON_NONFINITE.get(s, s) for s in map(repr, vals))
     return map(repr, vals)
 
 
@@ -190,15 +183,16 @@ def _write_samples(store, chain_dir: str, fmt: str):
             name += "_emb"
         heads.append(name)
         cols.append(store.draws[:, i])
-    strs = [_column_strs(c, fmt == "jsonl") for c in cols]
-    if fmt == "jsonl":  # the bytes of json.dumps(record), one per row
-        fields = (json.dumps(h).replace("%", "%%") + ": %s" for h in heads)
-        template = "{" + ", ".join(fields) + "}\n"
-        return _write_rows(os.path.join(chain_dir, "samples.jsonl"), "",
-                           template, strs)
+    if fmt == "jsonl":
+        path = os.path.join(chain_dir, "samples.jsonl")
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(dict(zip(heads, row))) + "\n"
+                          for row in zip(*(c.tolist() for c in cols)))
+        return path
     return _write_rows(os.path.join(chain_dir, "samples.csv"),
                        ",".join(heads) + "\n",
-                       ",".join(["%s"] * len(heads)) + "\n", strs)
+                       ",".join(["%s"] * len(heads)) + "\n",
+                       [_column_strs(c) for c in cols])
 
 
 TRACE_FIELDS = ("iteration",) + TRACE_DTYPE.names

@@ -95,6 +95,17 @@ def survival_chi(phi, p):
     return chi
 
 
+def _chi_divisor(chi, c):
+    """chi_i of the never-seen-again terms c_i log chi_i, with 1 where c_i = 0
+    and chi_i rounds to 0 (the term adds nothing), or None where some c_i > 0
+    meets chi_i = 0 (the potential is +inf)."""
+    if 0.0 not in chi.tolist():
+        return chi
+    if np.any(c[chi == 0.0]):
+        return None
+    return np.where(chi == 0.0, 1.0, chi)
+
+
 def _normal_cdf(x: float) -> float:
     """The standard Normal cdf on Python floats."""
     return 0.5 * math.erfc(-x * _SQRT_HALF)
@@ -207,14 +218,11 @@ class JollySeberTarget(TargetModel):
         # First captures.
         pot = -float(np.sum(gammaln(U + 1.0) - gammaln(U - st.u + 1.0)
                             + st.u * log_p + (U - st.u) * log_1mp))
-        # Recaptures.  The c_i never-seen-again animals of occasion i add
-        # c_i log chi_i: nothing when c_i = 0, -inf when chi_i rounds to 0.
-        chi = survival_chi(phi, p)[:-1]
+        # Recaptures.
         c = st.R[:-1] - st.r[:-1]
-        if 0.0 in chi.tolist():
-            if np.any(c[chi == 0.0]):
-                return float("inf")
-            chi = np.where(chi == 0.0, 1.0, chi)
+        chi = _chi_divisor(survival_chi(phi, p)[:-1], c)
+        if chi is None:
+            return float("inf")
         pot -= float(np.sum(c * np.log(chi)
                             + st.z[1:] * (log_phi + log_1mp[1:])
                             + st.m[1:] * (log_phi + log_p[1:])))
@@ -242,13 +250,9 @@ class JollySeberTarget(TargetModel):
         phi = expit(lphi)
         chi = survival_chi(phi, p)
         c = st.R[:-1] - st.r[:-1]
-        # the divisor of c_i / chi_i; as in potential, the term is 0 where
-        # c_i = 0 and the potential +inf where c_i > 0, once chi_i is 0
-        div = chi
-        if 0.0 in chi.tolist():
-            if np.any(c[chi[:-1] == 0.0]):
-                raise ContractError("gradient queried where the potential is +inf")
-            div = np.where(chi == 0.0, 1.0, chi)
+        div = _chi_divisor(chi[:-1], c)
+        if div is None:
+            raise ContractError("gradient queried where the potential is +inf")
 
         du_dp = -st.u / p + (U - st.u) / (1.0 - p)
         du_dphi = np.zeros(T - 1)

@@ -312,6 +312,24 @@ def test_jolly_seber_never_seen_again_term_where_chi_rounds_to_zero():
             value = theta[j] + (-1.0 if j < model.T else 0.5)
             got = model.potential_diff(theta, j, value)
             assert_diff_matches(model, theta, j, value, got)
+    # phi_1 at +750 and p_2 at +36, which stays below 1: chi_1 = (1 - p_2)
+    # chi_2 rounds to 0 where c_1 = 0, and the gradient is finite and exact
+    theta = start.copy()
+    theta[[1, 2, 3, 4]] = [36.0, 2.5, 750.0, 2.5]
+    smooth = model.smooth_idx
+    p = 1.0 / (1.0 + np.exp(-theta[:model.T]))
+    assert np.all(p < 1.0)
+
+    def on_smooth(v):
+        t = theta.copy()
+        t[smooth] = v
+        return model.potential(t)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(model.grad_smooth(theta),
+                                   fd_grad(on_smooth, theta[smooth]),
+                                   rtol=1e-6, atol=1e-5)
 
 
 @pytest.mark.parametrize("levels, finite", [
