@@ -39,7 +39,8 @@ from .core import sample_momentum
 from .diagnostics import min_ess_report, summarize
 from .integrators import SweepOrder, coord_step
 from .models import build_model
-from .samplers import TRACE_DTYPE, SampleStore, SamplerConfig, run_chain
+from .samplers import (TRACE_DTYPE, SampleStore, SamplerConfig, chain_setup,
+                       run_chain)
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
 
@@ -90,7 +91,7 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _validate_run_config(cfg: dict) -> dict:
+def _validate_run_config(cfg: dict) -> SamplerConfig:
     if not cfg["model"]["name"]:
         raise ConfigError("model.name is required")
     if cfg["seed"] is None:
@@ -101,8 +102,7 @@ def _validate_run_config(cfg: dict) -> dict:
         raise ConfigError(f"chains must be >= 1, got {cfg['chains']}")
     if cfg["format"] not in ("csv", "jsonl"):
         raise ConfigError(f"format must be csv or jsonl, got {cfg['format']!r}")
-    _sampler_config(cfg)  # field validation happens in the constructor
-    return cfg
+    return _sampler_config(cfg)  # field validation happens in the constructor
 
 
 def _sampler_config(cfg: dict) -> SamplerConfig:
@@ -273,8 +273,7 @@ def cmd_run(args) -> int:
             cfg["seed"] = args.seed
         if args.format:
             cfg["format"] = args.format
-        cfg = _validate_run_config(cfg)
-        scfg = _sampler_config(cfg)
+        scfg = _validate_run_config(cfg)
         try:
             workers = int(os.environ.get("DHMC_MAX_WORKERS", "1"))
         except ValueError:
@@ -282,7 +281,7 @@ def cmd_run(args) -> int:
     except FileNotFoundError as exc:
         print(f"error: config file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
+    except (ConfigError, ContractError) as exc:  # ContractError: a bad mass
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -296,6 +295,11 @@ def cmd_run(args) -> int:
         print(f"error: cannot build model {cfg['model']['name']!r}: {exc}",
               file=sys.stderr)
         return 3
+    try:
+        chain_setup(model, scfg)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -408,9 +412,8 @@ def cmd_diagnose(args) -> int:
         reports = [min_ess_report(st, selector, args.batches)
                    for st, _, _ in loaded]
         payload = {"chains": [r.to_dict() for r in reports]}
-        if len(loaded) >= 2:
-            payload["summary"] = summarize([st for st, _, _ in loaded],
-                                           selector, args.batches).to_dict()
+        if len(reports) >= 2:
+            payload["summary"] = summarize(reports).to_dict()
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

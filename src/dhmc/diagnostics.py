@@ -176,26 +176,26 @@ class ChainSummary:
         }
 
 
-def summarize(stores, selector=None, batches: int = 25) -> ChainSummary:
-    """Average ESS reports from k >= 2 chains of the same run."""
-    stores = list(stores)
-    if len(stores) < 2:
+def summarize(reports) -> ChainSummary:
+    """Average the ``min_ess_report``s of k >= 2 chains of the same run."""
+    reports = list(reports)
+    if len(reports) < 2:
         raise ContractError("need at least 2 chains to summarize")
-    first = stores[0]
-    for st in stores[1:]:
-        if list(st.names) != list(first.names) or st.draws.shape != first.draws.shape:
+    first = reports[0]
+    for r in reports[1:]:
+        if (r.names != first.names or r.n_samples != first.n_samples
+                or r.batch_count != first.batch_count):
             raise ContractError("chains disagree in parameters or draw counts")
-    reports = [min_ess_report(st, selector, batches) for st in stores]
     mins = np.array([r.min_ess for r in reports])
     k = len(mins)
     half = 1.96 * mins.std(ddof=1) / math.sqrt(k)
     per_evals = np.array([r.ess_per_eval for r in reports])
     by_param = {}
-    for pos, name in enumerate(reports[0].names):
+    for pos, name in enumerate(first.names):
         vals = np.array([r.ess_mean[pos] for r in reports])
         by_param[name] = float(np.nanmean(vals)) if np.any(np.isfinite(vals)) else float("nan")
     return ChainSummary(
         n_chains=k, min_ess_mean=float(mins.mean()),
         min_ess_halfwidth=float(half), per_chain_min_ess=list(mins),
         ess_per_eval_mean=float(np.nanmean(per_evals)) if np.any(np.isfinite(per_evals)) else float("nan"),
-        mean_ess_by_param=by_param, batch_count=batches)
+        mean_ess_by_param=by_param, batch_count=first.batch_count)

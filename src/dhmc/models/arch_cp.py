@@ -28,7 +28,6 @@ from ..embedding import EmbeddingMap
 __all__ = ["ArchChangePointTarget", "arch_neg_log_likelihood",
            "synth_arch_series", "save_series", "load_series"]
 
-_EMPTY = np.array([], dtype=np.intp)
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_HALF_PI = math.log(math.pi / 2.0)
 

@@ -35,7 +35,6 @@ __all__ = ["JollySeberStats", "JollySeberTarget", "survival_chi",
            "simulate_capture_recapture", "population_draws",
            "save_stats", "load_stats"]
 
-_EMPTY = np.array([], dtype=np.intp)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -254,21 +253,9 @@ class JollySeberTarget(TargetModel):
         if div is None:
             raise ContractError("gradient queried where the potential is +inf")
 
-        du_dp = -st.u / p + (U - st.u) / (1.0 - p)
-        du_dphi = np.zeros(T - 1)
-        # Direct recapture terms.
-        du_dp[1:] += st.z[1:] / (1.0 - p[1:]) - st.m[1:] / p[1:]
-        du_dphi -= (st.z[1:] + st.m[1:]) / phi
-        # Never-seen-again part via the adjoint of the chi recursion.
-        lam = np.empty(T - 1)
-        for i in range(T - 1):
-            lam[i] = -c[i] / div[i]
-            if i > 0:
-                lam[i] += lam[i - 1] * phi[i - 1] * (1.0 - p[i])
-        du_dphi += lam * (chi[:-1] - 1.0) / phi
-        du_dp[1:] += lam * (-phi * chi[1:])
         # U-chain prior variance depends on phi.
         sigma2 = self.sigma_b ** 2 + phi * (1.0 - phi)
+        du_prior = np.empty(T - 1)
         for i in range(T - 1):
             s = math.sqrt(sigma2[i])
             mu = U[i] - st.u[i]
@@ -278,11 +265,37 @@ class JollySeberTarget(TargetModel):
             dmass_ds = (z0 * math.exp(-0.5 * z0 * z0)
                         - z1 * math.exp(-0.5 * z1 * z1)) / (s * _SQRT_2PI)
             ds_dphi = (1.0 - 2.0 * phi[i]) / (2.0 * s)
-            du_dphi[i] += -dmass_ds * ds_dphi / mass
+            du_prior[i] = -dmass_ds * ds_dphi / mass
+        # Never-seen-again part via the adjoint of the chi recursion.
+        lam = np.empty(T - 1)
+        for i in range(T - 1):
+            lam[i] = -c[i] / div[i]
+            if i > 0:
+                lam[i] += lam[i - 1] * phi[i - 1] * (1.0 - p[i])
         g = np.empty(2 * T - 1)
-        g[:T] = p * (1.0 - p) * du_dp + (2.0 * p - 1.0)
-        g[T:] = phi * (1.0 - phi) * du_dphi + (2.0 * phi - 1.0)
-        return g
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            du_dp = -st.u / p + (U - st.u) / (1.0 - p)
+            du_dphi = np.zeros(T - 1)
+            # Direct recapture terms.
+            du_dp[1:] += st.z[1:] / (1.0 - p[1:]) - st.m[1:] / p[1:]
+            du_dphi -= (st.z[1:] + st.m[1:]) / phi
+            du_dphi += lam * (chi[:-1] - 1.0) / phi
+            du_dp[1:] += lam * (-phi * chi[1:])
+            du_dphi += du_prior
+            g[:T] = p * (1.0 - p) * du_dp + (2.0 * p - 1.0)
+            g[T:] = phi * (1.0 - phi) * du_dphi + (2.0 * phi - 1.0)
+        if np.isfinite(g).all():
+            return g
+        # Where a p or phi rounds to 0 or 1, or its reciprocal overflows, the
+        # chain rule above is 0 * inf.  The same gradient with the divisions
+        # multiplied through is finite there.
+        q = 1.0 - p
+        gp = (U - st.u) * p - st.u * q + (2.0 * p - 1.0)
+        gp[1:] += (st.z[1:] * p[1:] - st.m[1:] * q[1:]
+                   - p[1:] * q[1:] * lam * phi * chi[1:])
+        gphi = ((1.0 - phi) * (lam * (chi[:-1] - 1.0) - (st.z[1:] + st.m[1:]))
+                + phi * (1.0 - phi) * du_prior + (2.0 * phi - 1.0))
+        return np.where(np.isfinite(g), g, np.concatenate([gp, gphi]))
 
     def _u_cell(self, theta, i):
         """Cell of the embedded U_{i+1} (0-based i) of an in-support theta."""

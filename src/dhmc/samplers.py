@@ -33,14 +33,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (ConfigError, MassSpec, PhaseState, TargetModel,
-                   kinetic_energy, sample_momentum)
+from .core import (ConfigError, ContractError, MassSpec, PhaseState,
+                   TargetModel, kinetic_energy, sample_momentum)
 from .integrators import (SweepOrder, _dhmc_step_inplace, _grad_checked,
                           _mass_lookup, _potential_checked)
-from .tuning import TuneState, adapt_stepsize, mass_from_state
+from .tuning import (MIN_MASS_DRAWS, TuneState, adapt_stepsize,
+                     mass_from_variances, warmup_variances)
 
 __all__ = ["SamplerConfig", "SampleStore", "KERNELS", "TRACE_DTYPE",
-           "run_chain"]
+           "chain_setup", "run_chain"]
 
 KERNELS = ("dhmc", "dhmc_coordwise", "hmc", "mwg", "rwm")
 
@@ -66,7 +67,7 @@ class SamplerConfig:
     explicit (min, max) pair; (L, L) disables the jitter.  ``mass`` of None
     means unit masses, re-estimated halfway through warmup when ``tune_mass``
     is on.  ``tune_eps``/``tune_mass`` of None resolve to "tune whatever was
-    not given explicitly".
+    not given explicitly"; an explicit ``rwm_cov`` is never re-estimated.
     """
 
     kernel: str = "dhmc"
@@ -106,6 +107,8 @@ class SamplerConfig:
             raise ConfigError("n_samples and n_warmup must be nonnegative")
         if self.target_stat is not None and not 0.0 < self.target_stat < 1.0:
             raise ConfigError(f"target_stat must lie in (0, 1), got {self.target_stat}")
+        if self.eps_range is None and not self.resolved_tune_eps():
+            raise ConfigError("eps_range is required when stepsize tuning is off")
 
     def resolved_tune_eps(self) -> bool:
         if self.tune_eps is None:
@@ -113,6 +116,8 @@ class SamplerConfig:
         return bool(self.tune_eps)
 
     def resolved_tune_mass(self) -> bool:
+        if self.kernel == "rwm" and self.rwm_cov is not None:
+            return False
         if self.tune_mass is None:
             return self.mass is None
         return bool(self.tune_mass)
@@ -329,15 +334,31 @@ def _iteration_statistic(row) -> float:
     return stat
 
 
+def chain_setup(model: TargetModel, cfg: SamplerConfig):
+    """Check ``cfg`` against ``model`` (ConfigError); returns (smooth_idx,
+    disc_idx, initial mass, rwm proposal factor)."""
+    smooth, disc = _resolve_partition(model, cfg.kernel)
+    mass = cfg.mass
+    if mass is None:
+        mass = MassSpec.unit(len(smooth), len(disc))
+    try:
+        mass.check_sizes(len(smooth), len(disc))
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from None
+    factor = _proposal_factor(cfg.rwm_cov, model.dim) if cfg.kernel == "rwm" else None
+    return smooth, disc, mass, factor
+
+
 def run_chain(model: TargetModel, init, cfg: SamplerConfig,
               rng: np.random.Generator | None = None) -> SampleStore:
     """Warmup, adapt, then collect ``cfg.n_samples`` draws from one chain.
 
     ``init`` may be a PhaseState, a bare theta vector, or None to start from
     ``model.initial_theta``.  Warmup adapts the stepsize by stochastic
-    approximation toward the kernel's target statistic and re-estimates
-    diagonal masses halfway through (when enabled); the sampling-phase kernel
-    is frozen.  Fully deterministic given the rng.
+    approximation toward the kernel's target statistic; the draws of the
+    first ``n_warmup // 2`` iterations give the masses, or ``rwm``'s scales
+    (when enabled).  The sampling-phase kernel is frozen.  Fully
+    deterministic given the rng.
 
     Returns a SampleStore whose ``warmup_trace`` and ``trace`` hold one
     ``TRACE_DTYPE`` row per warmup and per sampling iteration; its counters
@@ -345,7 +366,7 @@ def run_chain(model: TargetModel, init, cfg: SamplerConfig,
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    smooth, disc = _resolve_partition(model, cfg.kernel)
+    smooth, disc, mass, factor = chain_setup(model, cfg)
     if isinstance(init, PhaseState):
         theta0 = np.array(init.theta, dtype=float)
     elif init is None:
@@ -362,71 +383,54 @@ def run_chain(model: TargetModel, init, cfg: SamplerConfig,
     if not np.isfinite(u0):
         raise ConfigError("initial point has non-finite potential")
 
-    mass = cfg.mass
-    if mass is None:
-        mass = MassSpec.unit(len(smooth), len(disc))
-    mass.check_sizes(len(smooth), len(disc))
-    factor = _proposal_factor(cfg.rwm_cov, model.dim) if cfg.kernel == "rwm" else None
-
     tune_eps = cfg.resolved_tune_eps()
-    tune_mass = cfg.resolved_tune_mass()
-    if cfg.eps_range is not None:
-        lo, hi = cfg.eps_range
-        eps0 = 0.5 * (lo + hi)
-    else:
-        if not tune_eps:
-            raise ConfigError("eps_range is required when stepsize tuning is off")
-        eps0 = 0.1
+    eps0 = 0.1 if cfg.eps_range is None else 0.5 * sum(cfg.eps_range)
     ts = TuneState(log_eps=math.log(eps0), target_stat=cfg.resolved_target())
 
+    # The draws of iterations 0 .. half-1 give the masses after iteration half.
     warnings = []
+    half = cfg.n_warmup // 2
+    tune_mass = cfg.resolved_tune_mass() and cfg.n_warmup > 0
+    first_half = None
+    if tune_mass and half >= MIN_MASS_DRAWS:
+        first_half = np.empty((half, model.dim))
+    elif tune_mass:
+        warnings.append("too few warmup draws to re-estimate masses")
+
     path_range = (1, 1) if cfg.kernel == "mwg" else cfg.path_len_range()
     u_cur = u0
-    mass_update_at = cfg.n_warmup // 2 if cfg.n_warmup else None
-    if cfg.kernel == "rwm" and cfg.rwm_cov is not None:
-        tune_mass = False  # an explicit proposal covariance is kept as given
 
-    def move(th, eps_range, cur_mass, cur_factor, u_in):
+    def move(th, eps_range, u_in):  # with the current mass and factor
         if cfg.kernel == "rwm":
-            return _rwm_move(model, th, rng, eps_range, cur_factor, u_in)
+            return _rwm_move(model, th, rng, eps_range, factor, u_in)
         return _dhmc_move(model, th, smooth, disc, rng, eps_range, path_range,
-                          cur_mass, u_in)
+                          mass, u_in)
 
     rows = np.empty(cfg.n_warmup + cfg.n_samples, dtype=TRACE_DTYPE)
     warmup_trace, trace = rows[:cfg.n_warmup], rows[cfg.n_warmup:]
     for i in range(cfg.n_warmup):
         eps_range = (ts.eps, ts.eps) if tune_eps else cfg.eps_range
-        theta, warmup_trace[i], u_cur = move(theta, eps_range, mass, factor,
-                                             u_cur)
+        theta, warmup_trace[i], u_cur = move(theta, eps_range, u_cur)
         if tune_eps:
             ts = adapt_stepsize(ts, _iteration_statistic(warmup_trace[i]))
-        if tune_mass and mass_update_at is not None:
-            if i < mass_update_at:
-                ts = ts.observe_draw(theta)
-            elif i == mass_update_at:
-                if ts.count >= 10:
-                    if cfg.kernel == "rwm":
-                        var = ts.variances()
-                        var = np.where(var > 0, var, 1.0)
-                        factor = np.sqrt(var)
-                        # eps now scales per-coordinate sd, so restart near 1
-                        if tune_eps:
-                            ts = replace(ts, log_eps=math.log(2.4 / math.sqrt(model.dim)))
-                    else:
-                        mass, mass_warnings = mass_from_state(ts, smooth, disc)
-                        warnings.extend(mass_warnings)
-                else:
-                    warnings.append("too few warmup draws to re-estimate masses")
+        if first_half is not None and i < half:
+            first_half[i] = theta
+        elif first_half is not None and i == half:
+            var, mass_warnings = warmup_variances(first_half)
+            warnings.extend(mass_warnings)
+            if cfg.kernel == "rwm":
+                factor = np.sqrt(var)
+                # eps now scales per-coordinate sd, so restart near 1
+                if tune_eps:
+                    ts = replace(ts, log_eps=math.log(2.4 / math.sqrt(model.dim)))
+            else:
+                mass = mass_from_variances(var, smooth, disc)
 
-    if tune_eps:
-        final_eps_range = (0.8 * ts.eps, ts.eps)
-    else:
-        final_eps_range = cfg.eps_range
+    final_eps_range = (0.8 * ts.eps, ts.eps) if tune_eps else cfg.eps_range
 
     draws = np.empty((cfg.n_samples, model.dim))
     for i in range(cfg.n_samples):
-        theta, trace[i], u_cur = move(theta, final_eps_range, mass, factor,
-                                      u_cur)
+        theta, trace[i], u_cur = move(theta, final_eps_range, u_cur)
         draws[i] = theta
 
     return SampleStore(

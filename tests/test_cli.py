@@ -114,12 +114,25 @@ def test_run_seed_override(tmp_path):
     ({"chains": 0}, "chains must be >= 1"),
     ({"format": "parquet"}, "format must be csv or jsonl"),
     ({"sampler": {"eps_range": [0.5, 0.2]}}, "0 < min <= max"),
+    ({"sampler": {"eps_range": None, "tune_eps": False}},
+     "eps_range is required when stepsize tuning is off"),
+    ({"sampler": {"mass": {"m_disc": [-1.0]}}}, "m_disc must be a 1-d array"),
+    # errors that need the model
+    ({"model": {"name": "pmf", "params": {}},
+      "sampler": {"mass": {"m_disc": [1.0, 2.0]}}},
+     "m_disc has length 2, expected 1"),
+    ({"model": {"name": "pmf", "params": {}}, "sampler": {"kernel": "hmc"}},
+     "hmc requires an all-smooth target"),
+    ({"model": {"name": "pmf", "params": {}},
+      "sampler": {"kernel": "rwm", "rwm_cov": [1.0, 2.0]}},
+     "diagonal rwm_cov must be length dim"),
 ])
 def test_run_config_errors(tmp_path, capsys, overrides, fragment):
     cfg = write_config(tmp_path / "c.yaml", output_dir=str(tmp_path / "out"),
                        **overrides)
     assert run_cli("run", "--config", cfg) == 2
     assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # nothing written
 
 
 def test_run_rejects_a_non_integer_worker_count(tmp_path, capsys, monkeypatch):

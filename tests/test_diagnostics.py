@@ -173,7 +173,7 @@ def test_summarize_identical_chains_zero_width():
     x = np.random.default_rng(6).standard_normal((400, 2))
     stores = [SampleStore(names=["a", "b"], draws=x.copy(), potential_evals=100)
               for _ in range(3)]
-    s = summarize(stores)
+    s = summarize(min_ess_report(st) for st in stores)
     assert s.min_ess_halfwidth == 0.0
     assert s.n_chains == 3
     assert len(s.per_chain_min_ess) == 3
@@ -185,7 +185,7 @@ def test_summarize_matches_manual_mean():
     stores = [SampleStore(names=["a"], draws=rng.standard_normal((500, 1)),
                         potential_evals=1000) for _ in range(4)]
     reports = [min_ess_report(st) for st in stores]
-    s = summarize(stores)
+    s = summarize(reports)
     mins = np.array([r.min_ess for r in reports])
     assert s.min_ess_mean == pytest.approx(mins.mean())
     assert s.min_ess_halfwidth == pytest.approx(
@@ -196,12 +196,16 @@ def test_summarize_matches_manual_mean():
 
 def test_summarize_preconditions():
     x = np.random.default_rng(8).standard_normal((300, 1))
-    one = SampleStore(names=["a"], draws=x)
+    one = min_ess_report(SampleStore(names=["a"], draws=x))
     with pytest.raises(ContractError, match="at least 2 chains"):
         summarize([one])
-    other = SampleStore(names=["b"], draws=x.copy())
+    other = min_ess_report(SampleStore(names=["b"], draws=x.copy()))
     with pytest.raises(ContractError, match="disagree"):
         summarize([one, other])
-    shorter = SampleStore(names=["a"], draws=x[:200].copy())
+    shorter = min_ess_report(SampleStore(names=["a"], draws=x[:200].copy()))
     with pytest.raises(ContractError, match="disagree"):
         summarize([one, shorter])
+    fewer_batches = min_ess_report(SampleStore(names=["a"], draws=x),
+                                   batches=10)
+    with pytest.raises(ContractError, match="disagree"):
+        summarize([one, fewer_batches])

@@ -285,6 +285,34 @@ def test_arch_cp_gradient_at_an_overflowing_scale_is_a_contract_error():
         model.grad_smooth(theta)
 
 
+@pytest.mark.parametrize("j, value", [
+    pytest.param(2, 40.0, id="p3-rounds-to-1"),
+    pytest.param(2, -800.0, id="p3-rounds-to-0"),
+    pytest.param(14, -800.0, id="phi2-rounds-to-0"),
+])
+def test_jolly_seber_gradient_where_a_probability_rounds_off(j, value):
+    # p (1 - p) dU/dp is 0 * inf where p rounds to 0 or 1; the potential is
+    # finite there and so must be the gradient
+    model = build_model("jolly_seber", {}, None, 33)
+    theta = model.initial_theta(np.random.default_rng(0))
+    theta[j] = value
+    smooth = model.smooth_idx
+
+    def on_smooth(v):
+        t = theta.copy()
+        t[smooth] = v
+        return model.potential(t)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(model.potential(theta))
+        g = model.grad_smooth(theta)
+        # potentials of order 1e5 need a wider step than the default 1e-6
+        # to keep rounding out of the difference quotient
+        fd = fd_grad(on_smooth, theta[smooth], h=1e-4)
+    np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-5)
+
+
 def test_jolly_seber_never_seen_again_term_where_chi_rounds_to_zero():
     # c_i = R_i - r_i is 0 at occasion 1 and 15 at occasion 2.  With every
     # log-odds at +750, p and phi round to 1 and so do chi_1 = chi_2 = 0:

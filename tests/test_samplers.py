@@ -62,6 +62,9 @@ def test_config_resolution():
     # explicit flags override the "tune what was not given" default
     cfg = SamplerConfig(eps_range=(0.1, 0.2), tune_eps=True)
     assert cfg.resolved_tune_eps()
+    # an explicit rwm proposal covariance is kept as given
+    cfg = SamplerConfig(kernel="rwm", rwm_cov=np.ones(2), tune_mass=True)
+    assert not cfg.resolved_tune_mass()
 
 
 def test_path_len_jitter_window():
@@ -293,9 +296,8 @@ def test_run_chain_init_validation():
     bad = SamplerConfig(kernel="mwg", eps_range=(0.3, 0.5), n_samples=5)
     with pytest.raises(ConfigError, match="non-finite potential"):
         run_chain(gt, np.array([9.0]), bad)
-    untuned = SamplerConfig(kernel="dhmc", tune_eps=False, n_samples=5)
     with pytest.raises(ConfigError, match="eps_range is required"):
-        run_chain(cm, np.array([0.5, 1.5]), untuned)
+        SamplerConfig(kernel="dhmc", tune_eps=False, n_samples=5)
 
 
 def test_run_chain_zero_samples():

@@ -7,7 +7,8 @@ from dhmc import (ContractError, SampleStore, SamplerConfig, TuneState,
                   adapt_stepsize, run_chain)
 from dhmc.models import Ar1Target, GridTarget
 from dhmc.samplers import TRACE_DTYPE
-from dhmc.tuning import mass_from_state
+from dhmc.tuning import (MIN_MASS_DRAWS, mass_from_variances,
+                         warmup_variances)
 
 from conftest import FlatTarget
 
@@ -93,15 +94,13 @@ def test_stepsize_search_tolerates_noise():
     assert abs(ts.eps - 0.4) / 0.4 <= 0.05
 
 
-# ----------------------------------------------------------- mass_from_state
+# ------------------------------------------------------------ mass estimate
 
 
 def estimate_mass(draws, smooth_idx, disc_idx):
-    """Masses from a batch of draws fed through the streaming accumulators."""
-    ts = TuneState(log_eps=0.0)
-    for row in np.asarray(draws, dtype=float):
-        ts = ts.observe_draw(row)
-    return mass_from_state(ts, smooth_idx, disc_idx)
+    """Masses and warnings from a batch of draws through the one estimator."""
+    var, warnings = warmup_variances(draws)
+    return mass_from_variances(var, smooth_idx, disc_idx), warnings
 
 
 def test_estimate_mass_inverse_sd_and_inverse_var():
@@ -132,11 +131,10 @@ def test_estimate_mass_scale_equivariance():
     assert scaled.m_disc[0] == pytest.approx(base.m_disc[0] / 3.0)
 
 
-def test_estimate_mass_validation():
-    with pytest.raises(ContractError):
-        estimate_mass(np.zeros((9, 2)), [0], [1])
-    with pytest.raises(ContractError):
-        estimate_mass(np.zeros(20), [0], [])
+def test_mass_floor():
+    mass = mass_from_variances(np.array([1e10, 1e20]), [0], [1])
+    assert mass.diag_smooth[0] == 1e-8
+    assert mass.m_disc[0] == 1e-8
 
 
 def test_estimate_mass_on_stationary_ar1_draws():
@@ -149,31 +147,50 @@ def test_estimate_mass_on_stationary_ar1_draws():
     np.testing.assert_allclose(mass.diag_smooth, 1.0, rtol=0.2)
 
 
-# ----------------------------------------------------- streaming accumulators
-
-
 def test_welford_matches_batch_variance():
     rng = np.random.default_rng(5)
     draws = rng.normal(size=(200, 3)) * [1.0, 2.0, 0.3]
-    ts = TuneState(log_eps=0.0)
-    for row in draws:
-        ts = ts.observe_draw(row)
-    assert ts.count == 200
-    np.testing.assert_allclose(ts.variances(),
-                               draws.var(axis=0, ddof=1), atol=1e-10)
-    stream, _ = mass_from_state(ts, [0, 1], [2])
-    var = draws.var(axis=0, ddof=1)
-    np.testing.assert_allclose(stream.diag_smooth, 1.0 / var[:2], rtol=1e-10)
-    np.testing.assert_allclose(stream.m_disc, 1.0 / np.sqrt(var[2:]),
-                               rtol=1e-10)
+    var, warnings = warmup_variances(draws)
+    assert warnings == []
+    np.testing.assert_allclose(var, draws.var(axis=0, ddof=1), atol=1e-10)
+    mass = mass_from_variances(var, [0, 1], [2])
+    np.testing.assert_allclose(mass.diag_smooth, 1.0 / var[:2], rtol=1e-15)
+    np.testing.assert_allclose(mass.m_disc, 1.0 / np.sqrt(var[2:]),
+                               rtol=1e-15)
 
 
-def test_streaming_count_preconditions():
-    ts = TuneState(log_eps=0.0)
+def test_estimate_mass_validation():
+    assert MIN_MASS_DRAWS == 10
+    warmup_variances(np.zeros((MIN_MASS_DRAWS, 2)))
     with pytest.raises(ContractError):
-        ts.variances()
-    ts = ts.observe_draw(np.array([1.0]))
+        warmup_variances(np.zeros((MIN_MASS_DRAWS - 1, 2)))
     with pytest.raises(ContractError):
-        ts.variances()
-    with pytest.raises(ContractError):
-        mass_from_state(ts, [0], [])
+        warmup_variances(np.zeros(20))
+
+
+# ------------------------------------------------------------ warmup plan
+
+
+def test_rwm_scales_come_from_the_same_estimate():
+    # every 50-wide proposal leaves the three-cell support, so nothing
+    # moves in the first half of warmup: the same constant-coordinate rule
+    # as the trajectory kernels gives scale 1 and its warning
+    cfg = SamplerConfig(kernel="rwm", eps_range=(50.0, 50.0), n_warmup=40,
+                        n_samples=5, seed=2)
+    store = run_chain(GridTarget.from_probs([0.2, 0.5, 0.3]), None, cfg)
+    assert not store.warmup_trace["accepted"][:20].any()
+    assert store.warnings == ["coordinate 0 constant; mass set to 1"]
+
+
+def test_mass_update_uses_the_first_half_of_warmup():
+    # The masses of a 40-iteration warmup come from its first 20 draws.  A
+    # chain with the same seed, no warmup and unit masses samples exactly
+    # those 20 draws.
+    model = GridTarget.from_probs([0.1, 0.2, 0.4, 0.2, 0.1])
+    kw = dict(kernel="mwg", eps_range=(0.9, 1.1), seed=4)
+    full = run_chain(model, None, SamplerConfig(n_warmup=40, n_samples=1, **kw))
+    probe = SamplerConfig(n_warmup=0, n_samples=20, tune_mass=False, **kw)
+    first = run_chain(model, None, probe).draws
+    var, _ = warmup_variances(first)
+    assert full.mass.m_disc.tolist() == \
+        mass_from_variances(var, [], [0]).m_disc.tolist()
