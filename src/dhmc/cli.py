@@ -164,25 +164,40 @@ def _column_strs(col: np.ndarray):
     return map(repr, vals)
 
 
-def _write_rows(path: str, header: str, template: str, cols: list):
-    """Write ``header``, then ``template % row`` for each row of ``cols``."""
+def _write_rows(path: str, header: str, template: str, cols: list,
+                reps=None):
+    """Write ``header``, then ``template % row`` for each row of ``cols``,
+    ``reps[k]`` times for row k when given: a run is formatted once."""
+    lines = map(template.__mod__, zip(*cols))
+    if reps is not None:
+        lines = map(str.__mul__, lines, reps)
     with open(path, "w") as fh:
         fh.write(header)
-        fh.writelines(map(template.__mod__, zip(*cols)))
+        fh.writelines(lines)
     return path
 
 
 def _write_samples(store, chain_dir: str, fmt: str):
     """Decoded value per parameter, plus ``<name>_emb`` for embedded ones."""
+    draws, reps = store.draws, None
+    if fmt == "csv":
+        # rejected proposals repeat the draw before; bitwise, so that -0.0
+        # stays apart from 0.0 and NaN rows merge
+        bits = draws.view(np.int64)
+        new = np.ones(len(draws), dtype=bool)
+        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        starts = np.flatnonzero(new)
+        reps = np.diff(np.append(starts, len(draws))).tolist()
+        draws = draws[starts]
     heads, cols = [], []
     for i, name in enumerate(store.names):
         emap = store.embeddings.get(i)
         if emap is not None:
             heads.append(name)
-            cols.append(emap.decode(store.draws[:, i]))
+            cols.append(emap.decode(draws[:, i]))
             name += "_emb"
         heads.append(name)
-        cols.append(store.draws[:, i])
+        cols.append(draws[:, i])
     if fmt == "jsonl":
         path = os.path.join(chain_dir, "samples.jsonl")
         with open(path, "w") as fh:
@@ -192,7 +207,7 @@ def _write_samples(store, chain_dir: str, fmt: str):
     return _write_rows(os.path.join(chain_dir, "samples.csv"),
                        ",".join(heads) + "\n",
                        ",".join(["%s"] * len(heads)) + "\n",
-                       [_column_strs(c) for c in cols])
+                       [_column_strs(c) for c in cols], reps)
 
 
 TRACE_FIELDS = ("iteration",) + TRACE_DTYPE.names
@@ -361,18 +376,29 @@ def _load_chain(chain_dir: str):
     The store holds the decoded draws and the run's settings and counters
     from ``report.json``; ``raw`` maps each samples-file header to its
     column, including the ``<name>_emb`` columns of embedded coordinates.
+    A ``samples.csv`` is streamed: only its distinct lines, one per run of
+    equal lines, are kept and parsed, then repeated.
     """
     with open(os.path.join(chain_dir, "report.json")) as fh:
         report = json.load(fh)
     csv_path = os.path.join(chain_dir, "samples.csv")
     jsonl_path = os.path.join(chain_dir, "samples.jsonl")
     if os.path.exists(csv_path):
+        lines, reps, prev = [], [], None
         with open(csv_path) as fh:
             header = fh.readline().strip().split(",")
-            empty = not fh.readline().strip()
-        # loadtxt warns on a header-only file and returns the wrong width
-        table = np.empty((0, len(header))) if empty else np.loadtxt(
-            csv_path, delimiter=",", skiprows=1, ndmin=2)
+            for line in fh:
+                if line == prev:
+                    reps[-1] += 1
+                elif line != "\n":  # loadtxt skips blank lines too
+                    lines.append(line)
+                    reps.append(1)
+                    prev = line
+        # loadtxt warns on no lines and returns the wrong width
+        table = (np.loadtxt(lines, delimiter=",", ndmin=2) if lines
+                 else np.empty((0, len(header))))
+        del lines
+        table = np.repeat(table, reps, axis=0)
         raw = {h: table[:, i] for i, h in enumerate(header)}
     elif os.path.exists(jsonl_path):
         records = []

@@ -219,11 +219,13 @@ class ArchChangePointTarget(TargetModel):
         with np.errstate(over="ignore"):
             a, b = np.exp(la), np.exp(lb)
             sigma2 = a[seg] + b[seg] * self._ylag2
+        if math.isinf(a.max() + b.max()) or np.any(sigma2 <= 0.0):
+            # a level above e^709.78, or a vanishing variance, leaves no
+            # finite gradient
+            raise ContractError("gradient queried off support")
+        with np.errstate(over="ignore"):
             # an infinite square only drops a vanishing term
             gt = 0.5 / sigma2 - 0.5 * self._ysq / sigma2 ** 2
-        if math.isinf(a.max() + b.max()):
-            # a level above e^709.78 leaves no finite gradient
-            raise ContractError("gradient queried off support")
         w_a = np.bincount(seg, weights=gt, minlength=K + 1)
         w_b = np.bincount(seg, weights=gt * self._ylag2, minlength=K + 1)
         aw = a * w_a

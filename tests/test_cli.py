@@ -224,7 +224,15 @@ def test_writers_match_the_per_value_reference(tmp_path, fmt):
     odd = SampleStore(names=["a", "b"],
                       draws=np.array([[np.nan, -np.inf], [np.inf, 1e-310]]))
     empty = replace(full, draws=full.draws[:0], trace=full.trace[:0])
-    for k, store in enumerate((full, odd, empty)):
+    # rows in runs, as rejections leave them: a 0.0 row then a -0.0 row,
+    # which must stay apart, a run of NaN rows and a lone last row; the
+    # embedded coordinates keep valid values
+    smooth = [i for i in range(len(full.names)) if i not in full.embeddings]
+    zero, neg, nan = (full.draws[r].copy() for r in (1, 1, 2))
+    zero[smooth], neg[smooth], nan[smooth] = 0.0, -0.0, np.nan
+    rows = [full.draws[0]] * 3 + [zero, neg] + [nan] * 4 + [full.draws[5]]
+    runs = replace(full, draws=np.array(rows), trace=full.trace[:len(rows)])
+    for k, store in enumerate((full, odd, empty, runs)):
         out = tmp_path / str(k)
         out.mkdir()
         path = _write_samples(store, str(out), fmt)
@@ -278,6 +286,37 @@ def test_load_chain_round_trips_the_run_chain_store(tmp_path, monkeypatch,
     assert one.draws.tobytes() == stores[1].decoded_column(0).tobytes()
     assert empty.draws.shape == (0, 1)
     assert run_cli("diagnose", dirs[0]) == 3
+
+
+def test_load_chain_parses_each_run_of_lines_once(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path / "c.yaml", output_dir=str(tmp_path / "out"),
+                       model={"name": "binomial_n", "params": {}},
+                       sampler={"eps_range": None, "n_samples": 5})
+    assert run_cli("run", "--config", cfg) == 0
+    chain_dir = tmp_path / "out" / "chain_00"
+    path = chain_dir / "samples.csv"
+    # repeated lines, a blank line in the middle, 0.0 and -0.0, and no
+    # newline after the last line
+    path.write_text("N,N_emb\n" + "3,3.25\n" * 3 + "\n"
+                    + "4,0.0\n4,-0.0\n4,-0.0\n" + "nan,nan\n" * 2
+                    + "5,5.5\n5,5.5")
+    loadtxt, parsed = np.loadtxt, []
+
+    def spy(lines, *args, **kwargs):
+        parsed.append(list(lines))
+        return loadtxt(parsed[-1], *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded, _, raw = _load_chain(str(chain_dir))
+        expected = loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert expected.shape == (10, 2)
+    assert parsed == [["3,3.25\n", "4,0.0\n", "4,-0.0\n", "nan,nan\n",
+                       "5,5.5\n", "5,5.5"]]
+    got = np.column_stack([raw["N"], raw["N_emb"]])
+    assert got.tobytes() == expected.tobytes()
+    assert loaded.draws.tobytes() == expected[:, :1].tobytes()
 
 
 # ------------------------------------------------------------------ diagnose

@@ -285,6 +285,17 @@ def test_arch_cp_gradient_at_an_overflowing_scale_is_a_contract_error():
         model.grad_smooth(theta)
 
 
+def test_arch_cp_gradient_where_a_variance_vanishes_is_a_contract_error():
+    model = build_model("arch_cp", {}, None, 0)
+    theta = model.initial_theta(np.random.default_rng(0))
+    theta[0] = theta[1] = -800.0  # both first-segment levels round to 0
+    assert model.potential(theta) == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="off support"):
+            model.grad_smooth(theta)
+
+
 @pytest.mark.parametrize("j, value", [
     pytest.param(2, 40.0, id="p3-rounds-to-1"),
     pytest.param(2, -800.0, id="p3-rounds-to-0"),
