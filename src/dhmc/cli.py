@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import yaml
@@ -342,6 +341,7 @@ def cmd_run(args) -> int:
     ]
     try:
         if workers > 1 and cfg["chains"] > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=min(workers, cfg["chains"])) as pool:
                 reports = list(pool.map(_chain_worker, payloads))
         else:

@@ -1,30 +1,13 @@
-"""Target distributions and their synthetic data generators."""
+"""Target distributions and their data generators, one module each; a module
+is imported only when ``build_model`` builds its target."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..core import ContractError
-from .ar1 import Ar1Target
-from .arch_cp import (ArchChangePointTarget, arch_neg_log_likelihood,
-                      load_series, save_series, synth_arch_series)
-from .binomial import BinomialNTarget
-from .gen_bayes import (GenBayesTarget, load_classification,
-                        save_classification, synth_classification)
-from .jolly_seber import (JollySeberStats, JollySeberTarget, load_stats,
-                          population_draws, save_stats,
-                          simulate_capture_recapture, survival_chi)
-from .simple import BananaTarget, GaussianTarget, GridTarget
 
-__all__ = [
-    "Ar1Target", "ArchChangePointTarget", "BananaTarget", "BinomialNTarget",
-    "GaussianTarget", "GenBayesTarget", "GridTarget", "JollySeberStats",
-    "JollySeberTarget", "arch_neg_log_likelihood", "build_model",
-    "load_classification", "load_series", "load_stats", "population_draws",
-    "save_classification", "save_series", "save_stats",
-    "simulate_capture_recapture", "survival_chi", "synth_arch_series",
-    "synth_classification",
-]
+__all__ = ["build_model"]
 
 
 def build_model(name: str, params: dict | None = None,
@@ -37,19 +20,26 @@ def build_model(name: str, params: dict | None = None,
     params = dict(params or {})
     rng = np.random.default_rng(synth_seed)
     if name == "gaussian":
+        from .simple import GaussianTarget
         return GaussianTarget(**params)
     if name == "pmf":
+        from .simple import GridTarget
         probs = params.pop("probs", [0.2, 0.5, 0.3])
         return GridTarget.from_probs(probs, **params)
     if name == "banana":
+        from .simple import BananaTarget
         return BananaTarget(**params)
     if name == "binomial_n":
+        from .binomial import BinomialNTarget
         params.setdefault("y", 5)
         params.setdefault("q", 0.5)
         return BinomialNTarget(**params)
     if name == "ar1":
+        from .ar1 import Ar1Target
         return Ar1Target(**params)
     if name == "gen_bayes":
+        from .gen_bayes import (GenBayesTarget, load_classification,
+                                synth_classification)
         n = int(params.pop("n", 300))
         k = int(params.pop("k", 40))
         if data_path:
@@ -58,6 +48,8 @@ def build_model(name: str, params: dict | None = None,
             X, y, _ = synth_classification(rng, n=n, k=k)
         return GenBayesTarget(X, y, **params)
     if name == "jolly_seber":
+        from .jolly_seber import (JollySeberTarget, load_stats,
+                                  simulate_capture_recapture)
         sim = {key: params.pop(key)
                for key in ("u1", "p", "phi", "births_scale") if key in params}
         if data_path:
@@ -69,6 +61,8 @@ def build_model(name: str, params: dict | None = None,
             stats, _ = simulate_capture_recapture(rng, **sim)
         return JollySeberTarget(stats, **params)
     if name == "arch_cp":
+        from .arch_cp import (ArchChangePointTarget, load_series,
+                              synth_arch_series)
         sim = {key: params.pop(key)
                for key in ("T", "change_t", "a_low", "jump", "b") if key in params}
         if data_path:

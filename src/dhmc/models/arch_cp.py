@@ -151,13 +151,15 @@ class ArchChangePointTarget(TargetModel):
             except OverflowError:
                 # sigma above e^709.78: truncates a tail of mass below e^-709
                 return float("inf")
-            eta_a, eta_b = np.exp(lea), np.exp(leb)
-            for delta, s, eta in ((da, sa, eta_a), (db, sb, eta_b)):
-                # An infinite scale makes the potential +inf; an infinite
-                # square only drops a vanishing prior term.
+            for delta, s, leta in ((da, sa, lea), (db, sb, leb)):
+                # A scale that is inf, or whose square rounds to 0, makes the
+                # potential +inf (prior tails below e^-360); an infinite square
+                # of a finite scale only drops a vanishing prior term.
                 with np.errstate(over="ignore"):
-                    scale = s * eta
+                    scale = s * np.exp(leta)
                     scale2 = scale ** 2
+                if not ((scale2 > 0.0) & (scale < math.inf)).all():
+                    return float("inf")
                 pot += np.sum(np.log(scale) + 0.5 * _LOG_2PI
                               + 0.5 * delta ** 2 / scale2)
             pot += np.sum(_half_cauchy_log_terms(lea))
@@ -238,10 +240,12 @@ class ArchChangePointTarget(TargetModel):
                 sa, sb = math.exp(lsa), math.exp(lsb)
             except OverflowError:
                 raise ContractError("gradient queried off support") from None
-            eta_a, eta_b = np.exp(lea), np.exp(leb)
             with np.errstate(over="ignore"):
-                va = (sa * eta_a) ** 2
-                vb = (sb * eta_b) ** 2
+                scale_a, scale_b = sa * np.exp(lea), sb * np.exp(leb)
+                va, vb = scale_a ** 2, scale_b ** 2
+            if not ((va > 0.0) & (scale_a < math.inf)
+                    & (vb > 0.0) & (scale_b < math.inf)).all():
+                raise ContractError("gradient queried off support")
             # d/d delta_m: likelihood through all later segments plus prior.
             g[2:2 + K] = np.cumsum(aw[::-1])[::-1][1:] + da / va
             g[2 + K:2 + 2 * K] = np.cumsum(bw[::-1])[::-1][1:] + db / vb

@@ -24,9 +24,11 @@ from dhmc import (MassSpec, PhaseState, SamplerConfig, SweepOrder,
                   batch_means_ess, coord_sweep, dhmc_step, min_ess_report,
                   run_chain)
 from dhmc.embedding import EmbeddingMap
-from dhmc.models import (Ar1Target, BinomialNTarget, GaussianTarget,
-                         GridTarget, JollySeberStats, JollySeberTarget,
-                         build_model)
+from dhmc.models import build_model
+from dhmc.models.ar1 import Ar1Target
+from dhmc.models.binomial import BinomialNTarget
+from dhmc.models.jolly_seber import JollySeberStats, JollySeberTarget
+from dhmc.models.simple import GaussianTarget, GridTarget
 
 from conftest import (CoupledMix, SmoothStep, all_disc_state,
                       all_smooth_state, batch_se, fd_jacobian, hamiltonian)

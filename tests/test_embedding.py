@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dhmc import ContractError, EmbeddingMap, OutOfSupportError
-from dhmc.models import GridTarget
+from dhmc.models.simple import GridTarget
 
 
 def test_uniform_lookup_interior():

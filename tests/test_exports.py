@@ -3,10 +3,15 @@ module-level private name is read by its own module.
 
 The package sources (without ``dhmc/__init__.py``) and the benchmark under
 ``perfbench/`` are parsed; a name counts as used when it is loaded there as a
-bare name or as an attribute.
+bare name or as an attribute.  A fresh interpreter checks which modules the
+package and its command line load.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dhmc
@@ -62,3 +67,32 @@ def test_every_private_name_is_read_by_its_module():
         dead += [f"{path.relative_to(ROOT)}:{name}"
                  for name in sorted(_private_definitions(tree) - loaded)]
     assert dead == [], f"module-level private names nothing reads: {dead}"
+
+
+# Imports the package and the command line, builds three models that need no
+# scipy.special, then one that does.
+_IMPORT_PROBE = """
+import json, sys
+import dhmc, dhmc.cli
+from dhmc.models import __all__ as exported, build_model
+for name in ("ar1", "gen_bayes", "pmf"):
+    build_model(name, {}, None, 0)
+loaded = [m for m in ("scipy.special", "concurrent.futures.process")
+          if m in sys.modules]
+build_model("jolly_seber", {}, None, 0)
+print(json.dumps({"exported": exported, "loaded": loaded,
+                  "special_after": "scipy.special" in sys.modules}))
+"""
+
+
+def test_models_load_only_when_built():
+    src_dir = str(Path(dhmc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["exported"] == ["build_model"]
+    assert seen["loaded"] == [], "loaded before any model needs them"
+    assert seen["special_after"], "jolly_seber builds without scipy.special"

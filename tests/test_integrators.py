@@ -6,7 +6,8 @@ import pytest
 from dhmc import (ContractError, MassSpec, ModelError, PhaseState, SweepOrder,
                   coord_step, coord_sweep, dhmc_step)
 from dhmc.integrators import _mass_lookup, _sweep_inplace
-from dhmc.models import BananaTarget, GaussianTarget, GridTarget, build_model
+from dhmc.models import build_model
+from dhmc.models.simple import BananaTarget, GaussianTarget, GridTarget
 
 from conftest import (CoupledMix, FlatTarget, LinearSlope, SmoothStep,
                       StepBarrier, WalledGaussian, all_disc_state,

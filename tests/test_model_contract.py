@@ -21,8 +21,9 @@ import pytest
 
 from dhmc import ContractError, SamplerConfig, run_chain
 from dhmc.embedding import EmbeddingMap
-from dhmc.models import (GridTarget, JollySeberStats, JollySeberTarget,
-                         build_model)
+from dhmc.models import build_model
+from dhmc.models.jolly_seber import JollySeberStats, JollySeberTarget
+from dhmc.models.simple import GridTarget
 
 from conftest import fd_grad, small_arch_cp, small_jolly_seber
 
@@ -377,12 +378,17 @@ def test_jolly_seber_never_seen_again_term_where_chi_rounds_to_zero():
                  id="20.0-False"),
     pytest.param({"log_a0": 720.0}, False, id="log_a0-720-False"),
     pytest.param({"log_b0": 400.0}, True, id="log_b0-400-True"),
+    pytest.param({"log_eta_a": 720.0}, False, id="log_eta_a-720-False"),
+    pytest.param({"log_eta_b": -800.0}, False, id="log_eta_b--800-False"),
+    pytest.param({"log_eta_a": -800.0, "da": 0.0}, False,
+                 id="log_eta_a--800-da-0-False"),
 ])
 def test_arch_cp_overflowing_scale_squares_are_silent(levels, finite):
     # sigma_a = e^700 stays below math.exp's limit; at log_eta = 5 only the
     # squared scale overflows, at 20 the scale sigma_a * eta_a itself does.
     # A base level of e^720 overflows the variance itself; at log_b0 = 400
-    # only the squared variance does.
+    # only the squared variance does.  A jump scale e^720 overflows exp, and
+    # e^-800 rounds to 0: log 0 + delta^2 / 0 would be NaN, not +inf.
     model = small_arch_cp()
     theta = model.initial_theta(np.random.default_rng(1))
     for j, name in enumerate(model.param_names):

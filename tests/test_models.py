@@ -8,15 +8,18 @@ from scipy.stats import binom, norm
 
 from dhmc import ContractError, SamplerConfig, run_chain
 from dhmc.embedding import EmbeddingMap
-from dhmc.models import (Ar1Target, ArchChangePointTarget, BananaTarget,
-                         BinomialNTarget, GaussianTarget, GenBayesTarget,
-                         GridTarget, JollySeberStats, JollySeberTarget,
-                         arch_neg_log_likelihood, build_model,
-                         load_classification, load_series, load_stats,
-                         population_draws, save_classification, save_series,
-                         save_stats, simulate_capture_recapture,
-                         survival_chi, synth_arch_series,
-                         synth_classification)
+from dhmc.models import build_model
+from dhmc.models.ar1 import Ar1Target
+from dhmc.models.arch_cp import (ArchChangePointTarget,
+                                 arch_neg_log_likelihood, load_series,
+                                 save_series, synth_arch_series)
+from dhmc.models.binomial import BinomialNTarget
+from dhmc.models.gen_bayes import (GenBayesTarget, load_classification,
+                                   save_classification, synth_classification)
+from dhmc.models.jolly_seber import (JollySeberStats, JollySeberTarget,
+                                     load_stats, population_draws, save_stats,
+                                     simulate_capture_recapture, survival_chi)
+from dhmc.models.simple import BananaTarget, GaussianTarget, GridTarget
 
 from conftest import fd_grad
 

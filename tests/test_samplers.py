@@ -16,7 +16,8 @@ from dhmc import (ConfigError, ContractError, MassSpec, PhaseState,
                   SamplerConfig, TargetModel, TuneState, adapt_stepsize,
                   run_chain, samplers)
 from dhmc.embedding import EmbeddingMap
-from dhmc.models import BananaTarget, BinomialNTarget, GaussianTarget, GridTarget
+from dhmc.models.binomial import BinomialNTarget
+from dhmc.models.simple import BananaTarget, GaussianTarget, GridTarget
 
 from conftest import (CoupledMix, SmoothStep, WalledGaussian, small_arch_cp,
                       small_jolly_seber)

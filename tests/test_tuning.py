@@ -5,7 +5,8 @@ import pytest
 
 from dhmc import (ContractError, SampleStore, SamplerConfig, TuneState,
                   adapt_stepsize, run_chain)
-from dhmc.models import Ar1Target, GridTarget
+from dhmc.models.ar1 import Ar1Target
+from dhmc.models.simple import GridTarget
 from dhmc.samplers import TRACE_DTYPE
 from dhmc.tuning import (MIN_MASS_DRAWS, mass_from_variances,
                          warmup_variances)
