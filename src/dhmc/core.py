@@ -156,16 +156,18 @@ class TargetModel:
     - optionally ``potential_diff(theta, j, value) -> float``: the change in
       potential when coordinate j moves to ``value``, cheaper than two full
       potential calls and equal to them up to rounding.  It is only called
-      with the discontinuous coordinates of ``theta`` on the support.  The
-      smooth block may lie anywhere, because the split step sweeps wherever
-      its half drift lands; off the support the result is ``+inf`` or
-      finite, never NaN and never an exception.  It must be a pure function
-      of its arguments: it leaves ``theta`` unchanged and keeps no state
-      between calls.  The coordinate sweep passes ``j`` as an int and
-      ``value`` as a Python float, and ``theta`` as the float array it
-      updates; a cheap diff should read ``theta.item(j)`` so that its
-      arithmetic stays on Python floats, which is faster than numpy scalars
-      and gives the same IEEE results.
+      for a coordinate j in ``diff_idx``, with the discontinuous coordinates
+      of ``theta`` on the support.  The smooth block may lie anywhere,
+      because the split step sweeps wherever its half drift lands; off the
+      support the result is ``+inf`` or finite, never NaN and never an
+      exception.  It must be a pure function of its arguments: it leaves
+      ``theta`` unchanged and keeps no state between calls.  The coordinate
+      sweep passes ``j`` as an int and ``value`` as a Python float, and
+      ``theta`` as the float array it updates; a cheap diff should read
+      ``theta.item(j)`` so that its arithmetic stays on Python floats, which
+      is faster than numpy scalars and gives the same IEEE results.
+    - ``diff_idx``: the coordinates ``potential_diff`` covers, by default all
+      (none without a diff); others cost the sweep two ``potential`` calls.
 
     ``embeddings`` maps a coordinate index to the EmbeddingMap that decodes it
     back to an integer; coordinates absent from the dict are genuinely
@@ -184,6 +186,10 @@ class TargetModel:
     @property
     def disc_idx(self) -> np.ndarray:
         raise NotImplementedError
+
+    @property
+    def diff_idx(self) -> np.ndarray:
+        return np.arange(self.dim if self.potential_diff else 0, dtype=np.intp)
 
     @property
     def param_names(self) -> list:

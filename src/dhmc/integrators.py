@@ -69,24 +69,26 @@ class SweepOrder:
         return cls(perm=rng.permutation(np.array(disc_idx, dtype=np.intp)))
 
 
-def _mass_lookup(mass: MassSpec, disc_idx: np.ndarray, d: int):
-    """Full-length mass and inverse-mass arrays indexed by coordinate."""
+def _sweep_tables(model, mass: MassSpec, disc_idx: np.ndarray, d: int):
+    """The lists, indexed by coordinate, that the sweep reads: the mass, the
+    inverse mass and whether the model's ``potential_diff`` covers it."""
     m_by = np.full(d, np.nan)
     m_by[disc_idx] = mass.m_disc
-    return m_by, 1.0 / m_by
+    covered = np.zeros(d, dtype=bool)
+    covered[model.diff_idx] = True
+    return m_by.tolist(), (1.0 / m_by).tolist(), covered.tolist()
 
 
-def _sweep_inplace(model, theta, p, order, eps, m_by, minv_by):
+def _sweep_inplace(model, theta, p, order, eps, tables):
     """Run coordinate updates in ``order``, mutating theta and p.
 
-    ``theta``, ``p``, ``m_by`` and ``minv_by`` are float arrays indexed by
-    coordinate, ``order`` an integer array.  With a ``potential_diff`` the
-    sweep runs on Python scalars: ``p``, the masses and ``order`` are read
-    as lists once, ``theta`` is read with ``theta.item(j)`` and written on
-    every move (the diff reads it), and ``p`` is written back once at the
-    end, so a sweep that raises leaves ``p`` as it was.  The diff gets ``j``
-    as an int and ``value`` as a Python float; IEEE arithmetic makes every
-    result bit-identical to numpy scalars.
+    ``theta`` and ``p`` are float arrays, ``order`` an integer array and
+    ``tables`` the lists of ``_sweep_tables``.  A covered coordinate costs
+    one ``potential_diff`` call, any other two ``potential`` calls, counted
+    2.  The sweep runs on Python scalars: ``p`` and ``order`` are read as
+    lists once, ``theta`` is read with ``theta.item(j)`` and written on
+    every move (the next update reads it), and ``p`` is written back once at
+    the end, so a sweep that raises leaves ``p`` as it was.
 
     Returns (flips, potential_evals).  Precondition: the coordinates in
     ``order`` lie on the support.  The smooth block may have drifted off it;
@@ -96,50 +98,37 @@ def _sweep_inplace(model, theta, p, order, eps, m_by, minv_by):
     flips = 0
     evals = 0
     diff = model.potential_diff
-    if diff is not None:
-        eps = float(eps)
-        pl = p.tolist()
-        m_l = m_by.tolist()
-        minv_l = minv_by.tolist()
-        item = theta.item
-        for j in order.tolist():
-            pj = pl[j]
-            s = 1.0 if pj >= 0 else -1.0
-            minv = minv_l[j]
-            new = item(j) + eps * s * minv
+    pot = model.potential
+    eps = float(eps)
+    pl = p.tolist()
+    m_l, minv_l, covered = tables
+    item = theta.item
+    for j in order.tolist():
+        pj = pl[j]
+        s = 1.0 if pj >= 0 else -1.0
+        minv = minv_l[j]
+        old = item(j)
+        new = old + eps * s * minv
+        if covered[j]:
             du = diff(theta, j, new)
             evals += 1
-            if du != du:
-                raise ModelError(f"{model.name} returned NaN potential_diff")
-            if abs(pj) * minv > du:
-                theta[j] = new
-                pl[j] = pj - s * m_l[j] * du
-            else:
-                pl[j] = -pj
-                flips += 1
-        p[:] = pl
-    else:
-        pot = model.potential
-        for j in order:
-            pj = p[j]
-            s = 1.0 if pj >= 0 else -1.0
-            minv = minv_by[j]
-            new = theta[j] + eps * s * minv
-            old = theta[j]
+        else:
             u0 = pot(theta)
             theta[j] = new
             u1 = pot(theta)
+            theta[j] = old
             evals += 2
             # off the support every update bounces, as a +inf diff would
             du = np.inf if u0 == np.inf else u1 - u0
-            if du != du:
-                raise ModelError(f"{model.name} returned NaN potential")
-            if abs(pj) * minv > du:
-                p[j] = pj - s * m_by[j] * du
-            else:
-                theta[j] = old
-                p[j] = -pj
-                flips += 1
+        if du != du:
+            raise ModelError(f"{model.name} returned NaN potential difference")
+        if abs(pj) * minv > du:
+            theta[j] = new
+            pl[j] = pj - s * m_l[j] * du
+        else:
+            pl[j] = -pj
+            flips += 1
+    p[:] = pl
     return flips, evals
 
 
@@ -158,8 +147,7 @@ def _potential_checked(model, theta) -> float:
     return float(u)
 
 
-def _dhmc_step_inplace(model, theta, p, smooth, mass, eps, order, m_by, minv_by,
-                       g):
+def _dhmc_step_inplace(model, theta, p, smooth, mass, eps, order, tables, g):
     """One split-integrator step, mutating theta and p.
 
     ``g`` is the smooth-block gradient at the entry point (None without a
@@ -171,14 +159,13 @@ def _dhmc_step_inplace(model, theta, p, smooth, mass, eps, order, m_by, minv_by,
     and a step that ends off the support diverges.
     """
     if not len(smooth):
-        flips, evals = _sweep_inplace(model, theta, p, order, eps, m_by, minv_by)
+        flips, evals = _sweep_inplace(model, theta, p, order, eps, tables)
         return flips, evals, False, None, None
     half = 0.5 * eps
     p[smooth] -= half * g
     if len(order):
         theta[smooth] += half * mass.smooth_velocity(p[smooth])
-        flips, evals = _sweep_inplace(model, theta, p, order, eps, m_by,
-                                      minv_by)
+        flips, evals = _sweep_inplace(model, theta, p, order, eps, tables)
         theta[smooth] += half * mass.smooth_velocity(p[smooth])
     else:
         flips = evals = 0
@@ -232,8 +219,8 @@ def coord_sweep(model: TargetModel, state: PhaseState, order: SweepOrder,
     _check_step_args(model, state, mass, eps, order.perm)
     theta = state.theta.copy()
     p = state.p.copy()
-    m_by, minv_by = _mass_lookup(mass, state.disc_idx, state.dim)
-    flips, evals = _sweep_inplace(model, theta, p, order.perm, eps, m_by, minv_by)
+    tables = _sweep_tables(model, mass, state.disc_idx, state.dim)
+    flips, evals = _sweep_inplace(model, theta, p, order.perm, eps, tables)
     out = PhaseState(theta, p, state.smooth_idx, state.disc_idx)
     return StepOutcome(state=out, flips=flips, potential_evals=evals)
 
@@ -256,10 +243,10 @@ def dhmc_step(model: TargetModel, state: PhaseState, eps: float, mass: MassSpec,
     theta = state.theta.copy()
     p = state.p.copy()
     smooth = state.smooth_idx
-    m_by, minv_by = _mass_lookup(mass, state.disc_idx, state.dim)
+    tables = _sweep_tables(model, mass, state.disc_idx, state.dim)
     g = _grad_checked(model, theta) if len(smooth) else None
     flips, evals, diverged, _, _ = _dhmc_step_inplace(
-        model, theta, p, smooth, mass, eps, order.perm, m_by, minv_by, g)
+        model, theta, p, smooth, mass, eps, order.perm, tables, g)
     if g is not None:
         evals += 1  # the entry gradient
     if diverged:

@@ -8,10 +8,10 @@ with Normal(0, (sigma eta_k)^2) priors; eta_k and sigma are half-Cauchy,
 sampled on the log scale with their Jacobians.  The change points tau_k are
 embedded integers, uniform over 1 < tau_1 < ... < tau_K < T.
 
-``potential_diff`` of a change point costs O(|Delta tau|): only the
-likelihood terms of the times that switch between the two segments next to
-tau_k change, and it decodes just tau_k and its two neighbours.  Moves of
-the continuous coordinates fall back to two full potential evaluations.
+``potential_diff`` covers the change points, its ``diff_idx``, at a cost of
+O(|Delta tau|): only the likelihood terms of the times that switch between
+the two segments next to tau_k change, and it decodes just tau_k and its
+two neighbours.
 """
 
 from __future__ import annotations
@@ -46,6 +46,14 @@ def arch_neg_log_likelihood(y, a_t, b_t) -> float:
     if np.any(sigma2 <= 0):
         return float("inf")
     return float(0.5 * np.sum(np.log(sigma2) + _LOG_2PI + y[1:] ** 2 / sigma2))
+
+
+def _scaled_squares(delta, scale, scale2):
+    """(delta / scale)^2; delta^2 / scale^2 where both squares are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = delta ** 2
+        return np.where(np.isfinite(d2) & np.isfinite(scale2), d2 / scale2,
+                        (delta / scale) ** 2)
 
 
 def _half_cauchy_log_terms(l):
@@ -86,6 +94,10 @@ class ArchChangePointTarget(TargetModel):
 
     @property
     def disc_idx(self):
+        return self._disc
+
+    @property
+    def diff_idx(self):
         return self._disc
 
     @property
@@ -155,13 +167,17 @@ class ArchChangePointTarget(TargetModel):
                 # A scale that is inf, or whose square rounds to 0, makes the
                 # potential +inf (prior tails below e^-360); an infinite square
                 # of a finite scale only drops a vanishing prior term.
-                with np.errstate(over="ignore"):
+                with np.errstate(over="ignore", invalid="ignore"):
                     scale = s * np.exp(leta)
                     scale2 = scale ** 2
-                if not ((scale2 > 0.0) & (scale < math.inf)).all():
-                    return float("inf")
-                pot += np.sum(np.log(scale) + 0.5 * _LOG_2PI
-                              + 0.5 * delta ** 2 / scale2)
+                    if not ((scale2 > 0.0) & (scale < math.inf)).all():
+                        return float("inf")
+                    log_terms = np.log(scale) + 0.5 * _LOG_2PI
+                    prior = np.sum(log_terms + 0.5 * delta ** 2 / scale2)
+                if not math.isfinite(prior):  # a square overflowed
+                    prior = np.sum(log_terms + 0.5 * _scaled_squares(
+                        delta, scale, scale2))
+                pot += prior
             pot += np.sum(_half_cauchy_log_terms(lea))
             pot += np.sum(_half_cauchy_log_terms(leb))
         pot += _half_cauchy_log_terms(lsa) + _half_cauchy_log_terms(lsb)
@@ -169,10 +185,6 @@ class ArchChangePointTarget(TargetModel):
 
     def potential_diff(self, theta, j, value):
         k = j - self._n_smooth
-        if k < 0:
-            moved = theta.copy()
-            moved[j] = value
-            return self.potential(moved) - self.potential(theta)
         tau_map = self.tau_map
         if not tau_map.contains(value):
             return float("inf")
@@ -240,21 +252,23 @@ class ArchChangePointTarget(TargetModel):
                 sa, sb = math.exp(lsa), math.exp(lsb)
             except OverflowError:
                 raise ContractError("gradient queried off support") from None
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 scale_a, scale_b = sa * np.exp(lea), sb * np.exp(leb)
                 va, vb = scale_a ** 2, scale_b ** 2
-            if not ((va > 0.0) & (scale_a < math.inf)
-                    & (vb > 0.0) & (scale_b < math.inf)).all():
-                raise ContractError("gradient queried off support")
+                if not ((va > 0.0) & (scale_a < math.inf)
+                        & (vb > 0.0) & (scale_b < math.inf)).all():
+                    raise ContractError("gradient queried off support")
+                za, zb = da ** 2 / va, db ** 2 / vb
+            if not math.isfinite(za.sum() + zb.sum()):  # a square overflowed
+                za = _scaled_squares(da, scale_a, va)
+                zb = _scaled_squares(db, scale_b, vb)
             # d/d delta_m: likelihood through all later segments plus prior.
             g[2:2 + K] = np.cumsum(aw[::-1])[::-1][1:] + da / va
             g[2 + K:2 + 2 * K] = np.cumsum(bw[::-1])[::-1][1:] + db / vb
-            g[2 + 2 * K:2 + 3 * K] = 2.0 * expit(2.0 * lea) - da ** 2 / va
-            g[2 + 3 * K:2 + 4 * K] = 2.0 * expit(2.0 * leb) - db ** 2 / vb
-            g[2 + 4 * K] = (K - np.sum(da ** 2 / va)
-                            + 2.0 * expit(2.0 * lsa) - 1.0)
-            g[3 + 4 * K] = (K - np.sum(db ** 2 / vb)
-                            + 2.0 * expit(2.0 * lsb) - 1.0)
+            g[2 + 2 * K:2 + 3 * K] = 2.0 * expit(2.0 * lea) - za
+            g[2 + 3 * K:2 + 4 * K] = 2.0 * expit(2.0 * leb) - zb
+            g[2 + 4 * K] = K - np.sum(za) + 2.0 * expit(2.0 * lsa) - 1.0
+            g[3 + 4 * K] = K - np.sum(zb) + 2.0 * expit(2.0 * lsb) - 1.0
         else:
             g[2] = 2.0 * expit(2.0 * lsa) - 1.0
             g[3] = 2.0 * expit(2.0 * lsb) - 1.0

@@ -13,10 +13,9 @@ seen again.  The prior on the U chain is the floored Normal
 U_{i+1} | U_i ~ floor(N(U_i - u_i, sigma_b^2 + phi_i(1 - phi_i))), evaluated
 as the exact Normal interval mass on [n, n+1), plus pi(U_1) ~ 1/U_1.
 
-``potential_diff`` is O(1) for the embedded U coordinates: it decodes only
-the moved count and its two neighbours in the chain, the only other counts
-its terms read, and runs on Python floats.  Moves of the continuous
-coordinates fall back to two full potential evaluations internally.
+``potential_diff`` covers the embedded U coordinates, its ``diff_idx``, in
+O(1): it decodes only the moved count and its two neighbours in the chain,
+the only other counts its terms read, and runs on Python floats.
 """
 
 from __future__ import annotations
@@ -182,6 +181,10 @@ class JollySeberTarget(TargetModel):
         return self._disc
 
     @property
+    def diff_idx(self):
+        return self._disc
+
+    @property
     def param_names(self):
         T = self.T
         return ([f"p{i + 1}" for i in range(T)]
@@ -305,10 +308,6 @@ class JollySeberTarget(TargetModel):
     def potential_diff(self, theta, j, value):
         T = self.T
         i = j - (2 * T - 1)
-        if i < 0:
-            moved = theta.copy()
-            moved[j] = value
-            return self.potential(moved) - self.potential(theta)
         knots = self.emaps[i].knots
         if not knots.item(0) < value <= knots.item(-1):
             return math.inf

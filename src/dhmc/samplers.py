@@ -36,7 +36,7 @@ import numpy as np
 from .core import (ConfigError, ContractError, MassSpec, PhaseState,
                    TargetModel, kinetic_energy, sample_momentum)
 from .integrators import (SweepOrder, _dhmc_step_inplace, _grad_checked,
-                          _mass_lookup, _potential_checked)
+                          _potential_checked, _sweep_tables)
 from .tuning import (MIN_MASS_DRAWS, TuneState, adapt_stepsize,
                      mass_from_variances, warmup_variances)
 
@@ -166,8 +166,9 @@ def _dhmc_move(model, theta, smooth, disc, rng, eps_range, path_range, mass,
     partition, ``mwg`` with path range (1, 1) on an all-discontinuous one.
     With an empty smooth block the energy is conserved exactly, so the
     proposal is accepted with probability one and no potential value is
-    needed; the cached potential is then None.  ``theta`` is not modified;
-    an accepted proposal is a new array.
+    needed; the cached potential is then None.  Otherwise ``u_current`` is
+    the finite potential at ``theta``.  ``theta`` is not modified; an
+    accepted proposal is a new array.
     """
     eps = _draw_eps(rng, eps_range)
     L = _draw_path_len(rng, *path_range)
@@ -175,21 +176,18 @@ def _dhmc_move(model, theta, smooth, disc, rng, eps_range, path_range, mass,
     order = SweepOrder.draw(rng, disc)
     prop = theta.copy()
     pv = p.copy()
-    m_by, minv_by = _mass_lookup(mass, disc, len(theta))
+    tables = _sweep_tables(model, mass, disc, len(theta))
     flips = 0
     evals = 0
     updates = L * len(disc)
     g = None
     if len(smooth):
-        if u_current is None:
-            u_current = _potential_checked(model, theta)
-            evals += 1
         k0 = kinetic_energy(p, mass, smooth, disc)
         g = _grad_checked(model, prop)
         evals += 1
     for _ in range(L):
         f, e, diverged, u_end, g = _dhmc_step_inplace(
-            model, prop, pv, smooth, mass, eps, order.perm, m_by, minv_by, g)
+            model, prop, pv, smooth, mass, eps, order.perm, tables, g)
         flips += f
         evals += e
         if diverged:
@@ -225,8 +223,8 @@ def _proposal_factor(rwm_cov, dim):
 
 
 def _rwm_move(model, theta, rng, eps_range, factor, u_current):
-    """One random-walk Metropolis transition; returns (theta, trace row,
-    cached potential)."""
+    """One random-walk Metropolis transition from ``theta``, of finite
+    potential ``u_current``; returns (theta, trace row, cached potential)."""
     eps = _draw_eps(rng, eps_range)
     z = rng.standard_normal(len(theta))
     if factor is None:
@@ -236,16 +234,11 @@ def _rwm_move(model, theta, rng, eps_range, factor, u_current):
     else:
         step = eps * (factor @ z)
     prop = theta + step
-    evals = 0
-    if u_current is None:
-        u_current = _potential_checked(model, theta)
-        evals += 1
     u_prop = _potential_checked(model, prop)
-    evals += 1
     delta = u_prop - u_current
     if np.log(rng.uniform()) < -delta:
-        return prop, (True, float(delta), 0, 0, evals, eps, 0, False), u_prop
-    return theta, (False, float(delta), 0, 0, evals, eps, 0, False), u_current
+        return prop, (True, float(delta), 0, 0, 1, eps, 0, False), u_prop
+    return theta, (False, float(delta), 0, 0, 1, eps, 0, False), u_current
 
 
 @dataclass

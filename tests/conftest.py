@@ -166,6 +166,10 @@ class CoupledMix(TargetModel):
     def disc_idx(self):
         return self._disc
 
+    @property
+    def diff_idx(self):
+        return self._disc
+
     def _stiff(self, n):
         return 1.0 + self.gamma * n
 
@@ -181,10 +185,6 @@ class CoupledMix(TargetModel):
         return np.array([theta[0] * self._stiff(n)])
 
     def potential_diff(self, theta, j, value):
-        if j != 1:
-            moved = theta.copy()
-            moved[j] = value
-            return self.potential(moved) - self.potential(theta)
         if not self.emap.contains(value):
             return float("inf")
         k0 = self.emap.cell_of(theta[1])

@@ -5,7 +5,7 @@ import pytest
 
 from dhmc import (ContractError, MassSpec, ModelError, PhaseState, SweepOrder,
                   coord_step, coord_sweep, dhmc_step)
-from dhmc.integrators import _mass_lookup, _sweep_inplace
+from dhmc.integrators import _sweep_inplace, _sweep_tables
 from dhmc.models import build_model
 from dhmc.models.simple import BananaTarget, GaussianTarget, GridTarget
 
@@ -237,19 +237,32 @@ def test_bounce_branch_determinant_is_minus_one():
 # ------------------------------------- the sweep's scalar fast path, bitwise
 
 
-def _reference_sweep(model, theta, p, order, eps, m_by, minv_by):
-    """The per-update loop on numpy scalars that ``_sweep_inplace`` replaces."""
+def _reference_sweep(model, theta, p, order, eps, mass, disc_idx):
+    """The per-update loop on numpy scalars that ``_sweep_inplace`` replaces:
+    one diff for a coordinate of ``diff_idx``, two potentials for any other.
+    """
+    m_by = dict(zip(np.asarray(disc_idx).tolist(), mass.m_disc))
+    covered = set(np.asarray(model.diff_idx).tolist())
     flips = 0
     evals = 0
     for j in order:
         pj = p[j]
         s = 1.0 if pj >= 0 else -1.0
-        minv = minv_by[j]
+        minv = 1.0 / m_by[j]
         new = theta[j] + eps * s * minv
-        du = model.potential_diff(theta, j, new)
-        evals += 1
+        if j in covered:
+            du = model.potential_diff(theta, j, new)
+            evals += 1
+        else:
+            old = theta[j]
+            u0 = model.potential(theta)
+            theta[j] = new
+            u1 = model.potential(theta)
+            theta[j] = old
+            evals += 2
+            du = np.inf if u0 == np.inf else u1 - u0
         if du != du:
-            raise ModelError(f"{model.name} returned NaN potential_diff")
+            raise ModelError(f"{model.name} returned NaN potential difference")
         if abs(pj) * minv > du:
             theta[j] = new
             p[j] = pj - s * m_by[j] * du
@@ -260,16 +273,28 @@ def _reference_sweep(model, theta, p, order, eps, m_by, minv_by):
 
 
 class _WallAt:
-    """A model whose diff is ``+inf`` at one coordinate, so it always bounces.
+    """A model whose coordinate ``wall`` never moves, so it always bounces:
+    its diff is ``+inf`` there, and its potential is ``+inf`` wherever that
+    coordinate left its value in ``theta``.
 
     It also records the types the sweep passes as ``j`` and ``value``.
     """
 
-    def __init__(self, model, wall):
+    def __init__(self, model, wall, theta):
         self.model = model
         self.name = model.name
         self.wall = wall
+        self.pinned = theta[wall] if wall >= 0 else None
         self.arg_types = set()
+
+    @property
+    def diff_idx(self):
+        return self.model.diff_idx
+
+    def potential(self, theta):
+        if self.wall >= 0 and theta[self.wall] != self.pinned:
+            return float("inf")
+        return self.model.potential(theta)
 
     def potential_diff(self, theta, j, value):
         self.arg_types.add((type(j), type(value)))
@@ -278,9 +303,9 @@ class _WallAt:
         return self.model.potential_diff(theta, j, value)
 
 
-# The coordinates each model is swept over: every coordinate of the models
-# that dhmc_coordwise sweeps whole, the U counts of jolly_seber and the
-# change points of arch_cp.
+# Each model is swept over every coordinate, as dhmc_coordwise sweeps it:
+# jolly_seber and arch_cp take their smooth coordinates, and banana every
+# coordinate, through the two-potential branch.
 _SWEPT = {
     "ar1": lambda: build_model("ar1", {"dim": 8}),
     "gaussian": lambda: build_model("gaussian", {"dim": 4, "mean": 0.5,
@@ -291,6 +316,7 @@ _SWEPT = {
                                      synth_seed=1),
     "jolly_seber": small_jolly_seber,
     "arch_cp": small_arch_cp,
+    "banana": lambda: build_model("banana"),
 }
 
 
@@ -299,7 +325,7 @@ _SWEPT = {
 def test_sweep_fast_path_is_bitwise_the_scalar_loop(name, wall):
     model = _SWEPT[name]()
     rng = np.random.default_rng(sorted(_SWEPT).index(name))
-    idx = model.disc_idx if len(model.disc_idx) else np.arange(model.dim)
+    idx = np.arange(model.dim)
     theta = model.initial_theta(rng)
     assert np.isfinite(model.potential(theta))
     p = 3.0 * rng.laplace(size=model.dim)
@@ -309,8 +335,8 @@ def test_sweep_fast_path_is_bitwise_the_scalar_loop(name, wall):
     for k, j in enumerate(idx[1:3] if len(idx) > 2 else []):
         p[j] = zeros[k]
     mass = MassSpec(m_disc=rng.uniform(0.5, 2.0, size=len(idx)))
-    m_by, minv_by = _mass_lookup(mass, idx, model.dim)
-    target = _WallAt(model, int(idx[0]) if wall else -1)
+    target = _WallAt(model, int(idx[0]) if wall else -1, theta)
+    tables = _sweep_tables(target, mass, idx, model.dim)
     start = theta.copy()
     ref_theta, ref_p = theta.copy(), p.copy()
     moves = 0
@@ -320,9 +346,9 @@ def test_sweep_fast_path_is_bitwise_the_scalar_loop(name, wall):
         order = rng.permutation(idx)
         eps = float(rng.uniform(0.2, 1.5))
         before = theta.copy()
-        want = _reference_sweep(target, ref_theta, ref_p, order, eps,
-                                m_by, minv_by)
-        got = _sweep_inplace(target, theta, p, order, eps, m_by, minv_by)
+        want = _reference_sweep(target, ref_theta, ref_p, order, eps, mass,
+                                idx)
+        got = _sweep_inplace(target, theta, p, order, eps, tables)
         assert got == want
         assert theta.tobytes() == ref_theta.tobytes()
         assert p.tobytes() == ref_p.tobytes()
@@ -331,7 +357,7 @@ def test_sweep_fast_path_is_bitwise_the_scalar_loop(name, wall):
         assert theta[idx[0]] == start[idx[0]]
     assert moves > 0 or (wall and len(idx) == 1)
     fast_types = {t for t in target.arg_types if t[1] is float}
-    assert fast_types == {(int, float)}
+    assert fast_types == ({(int, float)} if len(model.diff_idx) else set())
 
 
 @pytest.mark.parametrize("make", [small_jolly_seber, small_arch_cp, CoupledMix])
@@ -343,7 +369,7 @@ def test_mixed_dhmc_step_keeps_smooth_momenta_bitwise(make):
     smooth, disc = model.smooth_idx, model.disc_idx
     mass = MassSpec(m_disc=rng.uniform(0.5, 2.0, size=len(disc)),
                     diag_smooth=rng.uniform(0.5, 2.0, size=len(smooth)))
-    m_by, minv_by = _mass_lookup(mass, disc, model.dim)
+    tables = _sweep_tables(model, mass, disc, model.dim)
     for _ in range(20):
         theta = model.initial_theta(rng)
         p = np.empty(model.dim)
@@ -361,10 +387,10 @@ def test_mixed_dhmc_step_keeps_smooth_momenta_bitwise(make):
         kicked = ref_p[smooth].copy()
         swept_p = ref_p.copy()
         _sweep_inplace(model, ref_theta.copy(), swept_p, order.perm, eps,
-                       m_by, minv_by)
+                       tables)
         assert swept_p[smooth].tobytes() == kicked.tobytes()
         flips, _ = _reference_sweep(model, ref_theta, ref_p, order.perm, eps,
-                                    m_by, minv_by)
+                                    mass, disc)
         assert flips == out.flips
         ref_theta[smooth] += half * mass.smooth_velocity(ref_p[smooth])
         ref_p[smooth] -= half * model.grad_smooth(ref_theta)
@@ -474,6 +500,7 @@ class _BandedMix(CoupledMix):
 
 class _BandedMixNoDiff(_BandedMix):
     potential_diff = None
+    diff_idx = _EMPTY
 
 
 @pytest.mark.parametrize("make, evals, flips", [

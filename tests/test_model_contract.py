@@ -198,7 +198,7 @@ def test_potential_diff_is_pure(name):
     theta.setflags(write=False)  # any write to theta raises
     other = model.initial_theta(rng)
     other[model.smooth_idx] += 0.3
-    for j in list(model.disc_idx) + [0, int(model.smooth_idx[-1])]:
+    for j in model.diff_idx:
         for step in (-0.9, -0.2, 0.4, 3.0, 40.0):
             first = model.potential_diff(theta, j, theta[j] + step)
             model.potential(other)
@@ -348,8 +348,8 @@ def test_jolly_seber_never_seen_again_term_where_chi_rounds_to_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert math.isfinite(model.potential(theta))
-        for j in range(model.dim):
-            value = theta[j] + (-1.0 if j < model.T else 0.5)
+        for j in model.diff_idx:
+            value = theta[j] + 0.5
             got = model.potential_diff(theta, j, value)
             assert_diff_matches(model, theta, j, value, got)
     # phi_1 at +750 and p_2 at +36, which stays below 1: chi_1 = (1 - p_2)
@@ -382,13 +382,20 @@ def test_jolly_seber_never_seen_again_term_where_chi_rounds_to_zero():
     pytest.param({"log_eta_b": -800.0}, False, id="log_eta_b--800-False"),
     pytest.param({"log_eta_a": -800.0, "da": 0.0}, False,
                  id="log_eta_a--800-da-0-False"),
+    pytest.param({"da1": 1e200, "log_eta_a1": 400.0}, False,
+                 id="da1-1e200-log_eta_a1-400-False"),
+    pytest.param({"da1": -1e200, "log_eta_a1": 400.0}, True,
+                 id="da1--1e200-log_eta_a1-400-True"),
 ])
 def test_arch_cp_overflowing_scale_squares_are_silent(levels, finite):
     # sigma_a = e^700 stays below math.exp's limit; at log_eta = 5 only the
     # squared scale overflows, at 20 the scale sigma_a * eta_a itself does.
     # A base level of e^720 overflows the variance itself; at log_b0 = 400
     # only the squared variance does.  A jump scale e^720 overflows exp, and
-    # e^-800 rounds to 0: log 0 + delta^2 / 0 would be NaN, not +inf.
+    # e^-800 rounds to 0: log 0 + delta^2 / 0 would be NaN, not +inf.  A jump
+    # of 1e200 over a scale near e^400 squares both past the float range:
+    # delta^2 / scale^2 would be inf / inf, where (delta / scale)^2 is about
+    # 1e53.  Upward the level overflows, so the potential is +inf.
     model = small_arch_cp()
     theta = model.initial_theta(np.random.default_rng(1))
     for j, name in enumerate(model.param_names):

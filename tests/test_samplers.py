@@ -425,7 +425,10 @@ def test_store_decodes_embedded_columns():
 
 
 class Counted(TargetModel):
-    """Delegating wrapper that counts model calls by kind."""
+    """Delegating wrapper that counts model calls by kind.
+
+    A diff asked for a coordinate outside the inner ``diff_idx`` raises.
+    """
 
     def __init__(self, inner):
         self.inner = inner
@@ -435,6 +438,7 @@ class Counted(TargetModel):
         self.calls = {"potential": 0, "potential_diff": 0, "grad_smooth": 0}
         if inner.potential_diff is not None:
             self.potential_diff = self._diff
+        self._covered = set(np.asarray(inner.diff_idx).tolist())
 
     @property
     def smooth_idx(self):
@@ -443,6 +447,10 @@ class Counted(TargetModel):
     @property
     def disc_idx(self):
         return self.inner.disc_idx
+
+    @property
+    def diff_idx(self):
+        return self.inner.diff_idx
 
     def initial_theta(self, rng):
         return self.inner.initial_theta(rng)
@@ -456,8 +464,25 @@ class Counted(TargetModel):
         return self.inner.grad_smooth(theta)
 
     def _diff(self, theta, j, value):
+        if j not in self._covered:
+            raise AssertionError(f"diff asked for coordinate {j}, outside "
+                                 "diff_idx")
         self.calls["potential_diff"] += 1
         return self.inner.potential_diff(theta, j, value)
+
+
+def _count_own_potentials(model):
+    """Count every ``potential`` call of ``model``, also those its own code
+    makes, by wrapping the instance attribute; returns the list of calls."""
+    full = model.potential
+    seen = []
+
+    def potential(theta):
+        seen.append(1)
+        return full(theta)
+
+    model.potential = potential
+    return seen
 
 
 _CORE_TARGETS = {"mixed": CoupledMix, "smooth": lambda: GaussianTarget(dim=2),
@@ -467,15 +492,20 @@ _CORE_TARGETS = {"mixed": CoupledMix, "smooth": lambda: GaussianTarget(dim=2),
 
 @pytest.mark.parametrize("target", sorted(_CORE_TARGETS))
 def test_eval_counters_match_model_calls(target):
+    # the counters are cost-true: a potential the model evaluates inside its
+    # own potential_diff is a call too
     for kernel in ("dhmc", "dhmc_coordwise", "hmc", "mwg", "rwm"):
-        model = Counted(_CORE_TARGETS[target]())
+        inner = _CORE_TARGETS[target]()
+        all_potentials = _count_own_potentials(inner)
+        model = Counted(inner)
         if kernel == "hmc" and len(model.disc_idx):
             continue
         cfg = SamplerConfig(kernel=kernel, path_len=4, n_warmup=40,
                             n_samples=40, seed=17)
         store = run_chain(model, None, cfg)
-        assert sum(model.calls.values()) == \
-            store.potential_evals + store.warmup_evals, (kernel, model.calls)
+        calls = dict(model.calls, potential=len(all_potentials))
+        assert sum(calls.values()) == \
+            store.potential_evals + store.warmup_evals, (kernel, calls)
 
 
 def test_split_step_carries_its_closing_gradient():
@@ -506,14 +536,7 @@ def test_arch_cp_change_point_update_is_one_diff_call():
     # each tau update of a dhmc sweep is one potential_diff call, and that
     # call evaluates no potential of its own
     arch = small_arch_cp()
-    full = arch.potential
-    all_potentials = []
-
-    def potential(theta):
-        all_potentials.append(1)
-        return full(theta)
-
-    arch.potential = potential  # also seen from inside potential_diff
+    all_potentials = _count_own_potentials(arch)
     model = Counted(arch)
     cfg = SamplerConfig(kernel="dhmc", eps_range=(0.05, 0.1), path_len=(2, 5),
                         n_warmup=0, n_samples=40, tune_eps=False,
