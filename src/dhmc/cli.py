@@ -106,7 +106,7 @@ def _validate_run_config(cfg: dict) -> SamplerConfig:
 
 def _sampler_config(cfg: dict) -> SamplerConfig:
     s = cfg["sampler"]
-    eps = s.get("eps_range")
+    eps = s["eps_range"]
     if eps is not None:
         if isinstance(eps, (int, float)):
             eps = (float(eps), float(eps))
@@ -114,15 +114,15 @@ def _sampler_config(cfg: dict) -> SamplerConfig:
             eps = (float(eps[0]), float(eps[1]))
         else:
             raise ConfigError("sampler.eps_range must be a number or a [min, max] pair")
-    path_len = s.get("path_len", 10)
+    path_len = s["path_len"]
     if isinstance(path_len, (list, tuple)):
         path_len = tuple(int(v) for v in path_len)
     else:
         path_len = int(path_len)
-    rwm_cov = s.get("rwm_cov")
+    rwm_cov = s["rwm_cov"]
     if rwm_cov is not None:
         rwm_cov = np.asarray(rwm_cov, dtype=float)
-    mass = s.get("mass")
+    mass = s["mass"]
     if mass is not None:
         if not isinstance(mass, dict):
             raise ConfigError("sampler.mass must be a mapping with m_disc/diag_smooth")
@@ -131,16 +131,16 @@ def _sampler_config(cfg: dict) -> SamplerConfig:
             m_disc=np.asarray(mass.get("m_disc", []), dtype=float),
             diag_smooth=None if diag is None else np.asarray(diag, dtype=float))
     return SamplerConfig(
-        kernel=s.get("kernel", "dhmc"),
+        kernel=s["kernel"],
         eps_range=eps,
         path_len=path_len,
         mass=mass,
         seed=cfg["seed"],
-        n_samples=int(s.get("n_samples", 1000)),
-        n_warmup=int(s.get("n_warmup", 500)),
-        target_stat=s.get("target_stat"),
-        tune_eps=s.get("tune_eps"),
-        tune_mass=s.get("tune_mass"),
+        n_samples=int(s["n_samples"]),
+        n_warmup=int(s["n_warmup"]),
+        target_stat=s["target_stat"],
+        tune_eps=s["tune_eps"],
+        tune_mass=s["tune_mass"],
         rwm_cov=rwm_cov)
 
 
@@ -519,11 +519,16 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _plot_trajectory(args, run_dir: str) -> str:
+def _run_model(run_dir: str):
+    """The resolved config of a run directory and the model it sampled."""
     with open(os.path.join(run_dir, "config.yaml")) as fh:
         cfg = yaml.safe_load(fh)
-    model = build_model(cfg["model"]["name"], cfg["model"]["params"],
-                        cfg["model"]["data"], cfg["model"]["synth_seed"])
+    m = cfg["model"]
+    return cfg, build_model(m["name"], m["params"], m["data"], m["synth_seed"])
+
+
+def _plot_trajectory(args, run_dir: str) -> str:
+    cfg, model = _run_model(run_dir)
     if len(model.smooth_idx):
         raise ConfigError("trajectory plot data needs an all-discontinuous target")
     chain_dirs = _chain_dirs(run_dir)
@@ -584,10 +589,7 @@ def _plot_marginal2d(args, run_dir: str) -> str:
 
 
 def _plot_funcdraws(args, run_dir: str) -> str:
-    with open(os.path.join(run_dir, "config.yaml")) as fh:
-        cfg = yaml.safe_load(fh)
-    model = build_model(cfg["model"]["name"], cfg["model"]["params"],
-                        cfg["model"]["data"], cfg["model"]["synth_seed"])
+    _, model = _run_model(run_dir)
     if not hasattr(model, "level_paths"):
         raise ConfigError(f"model {model.name!r} has no piecewise level paths")
     store, report, raw = _load_chain(_chain_dirs(run_dir)[0])

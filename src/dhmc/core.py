@@ -143,12 +143,18 @@ class MassSpec:
         return np.sqrt(self.diag_smooth) * z
 
 
+_NO_INDICES = np.array([], dtype=np.intp)
+_NO_INDICES.setflags(write=False)
+
+
 class TargetModel:
     """Contract every target distribution implements.
 
     Subclasses define
 
-    - ``dim``, ``smooth_idx``, ``disc_idx``: the coordinate partition,
+    - ``dim``, ``smooth_idx``, ``disc_idx``: the coordinate partition, as
+      index arrays; both default to one shared read-only empty array, so a
+      model assigns only its non-empty block(s),
     - ``potential(theta) -> float``: minus log density, finite on the support
       and ``+inf`` off it, never NaN,
     - ``grad_smooth(theta) -> array``: gradient of the potential over the
@@ -176,16 +182,10 @@ class TargetModel:
 
     dim: int = 0
     name: str = "target"
+    smooth_idx: np.ndarray = _NO_INDICES
+    disc_idx: np.ndarray = _NO_INDICES
     potential_diff = None
     embeddings: dict = {}
-
-    @property
-    def smooth_idx(self) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def disc_idx(self) -> np.ndarray:
-        raise NotImplementedError
 
     @property
     def diff_idx(self) -> np.ndarray:

@@ -14,8 +14,6 @@ from ..core import ContractError, TargetModel
 
 __all__ = ["Ar1Target"]
 
-_EMPTY = np.array([], dtype=np.intp)
-
 
 class Ar1Target(TargetModel):
 
@@ -35,15 +33,7 @@ class Ar1Target(TargetModel):
         self._sa = s * alpha
         self._q_end = s
         self._q_int = s * (1.0 + alpha * alpha)
-        self._smooth = np.arange(dim, dtype=np.intp)
-
-    @property
-    def smooth_idx(self):
-        return self._smooth
-
-    @property
-    def disc_idx(self):
-        return _EMPTY
+        self.smooth_idx = np.arange(dim, dtype=np.intp)
 
     def potential(self, theta):
         # Innovations form: well conditioned and O(d).

@@ -80,25 +80,17 @@ class ArchChangePointTarget(TargetModel):
         K = k_max
         self.dim = 5 * K + 4
         self._n_smooth = 4 * K + 4
-        self._smooth = np.arange(self._n_smooth, dtype=np.intp)
-        self._disc = np.arange(self._n_smooth, self.dim, dtype=np.intp)
+        self.smooth_idx = np.arange(self._n_smooth, dtype=np.intp)
+        self.disc_idx = np.arange(self._n_smooth, self.dim, dtype=np.intp)
         self.tau_map = EmbeddingMap.uniform(2, self.T - 1) if K else None
-        self.embeddings = {int(j): self.tau_map for j in self._disc}
+        self.embeddings = {int(j): self.tau_map for j in self.disc_idx}
         self._ylag2 = y[:-1] ** 2
         self._ysq = y[1:] ** 2
         self._t_grid = np.arange(2, self.T + 1)
 
     @property
-    def smooth_idx(self):
-        return self._smooth
-
-    @property
-    def disc_idx(self):
-        return self._disc
-
-    @property
     def diff_idx(self):
-        return self._disc
+        return self.disc_idx
 
     @property
     def param_names(self):
@@ -133,23 +125,39 @@ class ArchChangePointTarget(TargetModel):
             return None
         return taus
 
-    def _segments(self, taus):
-        """Segment index of each t in 2..T (0-based segments)."""
-        if self.k_max == 0:
-            return np.zeros(self.T - 1, dtype=np.intp)
-        return np.searchsorted(taus, self._t_grid, side="left")
+    def _levels(self, la0, lb0, da, db, taut):
+        """Log levels ``(la, lb)`` of the K+1 segments and the 0-based
+        segment ``seg`` of each t in 2..T, or None where a change point lies
+        off the support."""
+        taus = self._decode_tau(taut)
+        if taus is None:
+            return None
+        la = la0 + np.concatenate(([0.0], np.cumsum(da)))
+        lb = lb0 + np.concatenate(([0.0], np.cumsum(db)))
+        return la, lb, np.searchsorted(taus, self._t_grid, side="left")
+
+    @staticmethod
+    def _jump_scales(lsa, lsb, lea, leb):
+        """``(scale, scale ** 2)`` of the a and the b jumps, or None where the
+        potential is +inf: a scale is infinite or its square rounds to 0."""
+        try:
+            sa, sb = math.exp(lsa), math.exp(lsb)
+        except OverflowError:  # truncates a tail of mass below e^-709
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale_a, scale_b = sa * np.exp(lea), sb * np.exp(leb)
+            va, vb = scale_a ** 2, scale_b ** 2
+            if not ((va > 0.0) & (scale_a < math.inf)
+                    & (vb > 0.0) & (scale_b < math.inf)).all():
+                return None  # prior tails below e^-360
+        return (scale_a, va), (scale_b, vb)
 
     def potential(self, theta):
         la0, lb0, da, db, lea, leb, lsa, lsb, taut = self._split(theta)
-        if self.k_max:
-            taus = self._decode_tau(taut)
-            if taus is None:
-                return float("inf")
-        else:
-            taus = np.array([], dtype=np.int64)
-        la = la0 + np.concatenate(([0.0], np.cumsum(da)))
-        lb = lb0 + np.concatenate(([0.0], np.cumsum(db)))
-        seg = self._segments(taus)
+        levels = self._levels(la0, lb0, da, db, taut)
+        if levels is None:
+            return float("inf")
+        la, lb, seg = levels
         with np.errstate(over="ignore"):
             # a level above e^709.78 makes the potential +inf
             sigma2 = np.exp(la)[seg] + np.exp(lb)[seg] * self._ylag2
@@ -158,20 +166,12 @@ class ArchChangePointTarget(TargetModel):
         pot = 0.5 * np.sum(np.log(sigma2) + _LOG_2PI + self._ysq / sigma2)
         pot += 0.5 * (la0 * la0 + lb0 * lb0) + _LOG_2PI
         if self.k_max:
-            try:
-                sa, sb = math.exp(lsa), math.exp(lsb)
-            except OverflowError:
-                # sigma above e^709.78: truncates a tail of mass below e^-709
+            scales = self._jump_scales(lsa, lsb, lea, leb)
+            if scales is None:
                 return float("inf")
-            for delta, s, leta in ((da, sa, lea), (db, sb, leb)):
-                # A scale that is inf, or whose square rounds to 0, makes the
-                # potential +inf (prior tails below e^-360); an infinite square
-                # of a finite scale only drops a vanishing prior term.
+            for delta, (scale, scale2) in zip((da, db), scales):
+                # an infinite square of a finite scale drops a vanishing term
                 with np.errstate(over="ignore", invalid="ignore"):
-                    scale = s * np.exp(leta)
-                    scale2 = scale ** 2
-                    if not ((scale2 > 0.0) & (scale < math.inf)).all():
-                        return float("inf")
                     log_terms = np.log(scale) + 0.5 * _LOG_2PI
                     prior = np.sum(log_terms + 0.5 * delta ** 2 / scale2)
                 if not math.isfinite(prior):  # a square overflowed
@@ -185,6 +185,8 @@ class ArchChangePointTarget(TargetModel):
 
     def potential_diff(self, theta, j, value):
         k = j - self._n_smooth
+        if not 0 <= k < self.k_max:
+            raise ContractError(f"coordinate {j} is outside diff_idx")
         tau_map = self.tau_map
         if not tau_map.contains(value):
             return float("inf")
@@ -197,7 +199,7 @@ class ArchChangePointTarget(TargetModel):
         if not left < new < right:
             return float("inf")
         # The times t in (lo, hi] switch between the 0-based segments k and
-        # k+1 of ``_segments``: into k when the change point moves up, into
+        # k+1 of ``_levels``: into k when the change point moves up, into
         # k+1 when it moves down.  No other likelihood or prior term moves.
         K = self.k_max
         la = theta[0] + theta[2:2 + k].sum()
@@ -221,15 +223,10 @@ class ArchChangePointTarget(TargetModel):
     def grad_smooth(self, theta):
         la0, lb0, da, db, lea, leb, lsa, lsb, taut = self._split(theta)
         K = self.k_max
-        if K:
-            taus = self._decode_tau(taut)
-            if taus is None:
-                raise ContractError("gradient queried off support")
-        else:
-            taus = np.array([], dtype=np.int64)
-        la = la0 + np.concatenate(([0.0], np.cumsum(da)))
-        lb = lb0 + np.concatenate(([0.0], np.cumsum(db)))
-        seg = self._segments(taus)
+        levels = self._levels(la0, lb0, da, db, taut)
+        if levels is None:
+            raise ContractError("gradient queried off support")
+        la, lb, seg = levels
         with np.errstate(over="ignore"):
             a, b = np.exp(la), np.exp(lb)
             sigma2 = a[seg] + b[seg] * self._ylag2
@@ -247,17 +244,13 @@ class ArchChangePointTarget(TargetModel):
         g = np.zeros(self._n_smooth)
         g[0] = np.sum(aw) + la0
         g[1] = np.sum(bw) + lb0
+        za = zb = 0.0
         if K:
-            try:
-                sa, sb = math.exp(lsa), math.exp(lsb)
-            except OverflowError:
-                raise ContractError("gradient queried off support") from None
+            scales = self._jump_scales(lsa, lsb, lea, leb)
+            if scales is None:
+                raise ContractError("gradient queried off support")
+            (scale_a, va), (scale_b, vb) = scales
             with np.errstate(over="ignore", invalid="ignore"):
-                scale_a, scale_b = sa * np.exp(lea), sb * np.exp(leb)
-                va, vb = scale_a ** 2, scale_b ** 2
-                if not ((va > 0.0) & (scale_a < math.inf)
-                        & (vb > 0.0) & (scale_b < math.inf)).all():
-                    raise ContractError("gradient queried off support")
                 za, zb = da ** 2 / va, db ** 2 / vb
             if not math.isfinite(za.sum() + zb.sum()):  # a square overflowed
                 za = _scaled_squares(da, scale_a, va)
@@ -267,22 +260,17 @@ class ArchChangePointTarget(TargetModel):
             g[2 + K:2 + 2 * K] = np.cumsum(bw[::-1])[::-1][1:] + db / vb
             g[2 + 2 * K:2 + 3 * K] = 2.0 * expit(2.0 * lea) - za
             g[2 + 3 * K:2 + 4 * K] = 2.0 * expit(2.0 * leb) - zb
-            g[2 + 4 * K] = K - np.sum(za) + 2.0 * expit(2.0 * lsa) - 1.0
-            g[3 + 4 * K] = K - np.sum(zb) + 2.0 * expit(2.0 * lsb) - 1.0
-        else:
-            g[2] = 2.0 * expit(2.0 * lsa) - 1.0
-            g[3] = 2.0 * expit(2.0 * lsb) - 1.0
+        g[2 + 4 * K] = K - np.sum(za) + 2.0 * expit(2.0 * lsa) - 1.0
+        g[3 + 4 * K] = K - np.sum(zb) + 2.0 * expit(2.0 * lsb) - 1.0
         return g
 
     def level_paths(self, theta):
         """Per-time (a(t), b(t)) for t = 2..T implied by one draw."""
         la0, lb0, da, db, *_rest, taut = self._split(theta)
-        taus = self._decode_tau(taut) if self.k_max else np.array([], dtype=np.int64)
-        if taus is None:
+        levels = self._levels(la0, lb0, da, db, taut)
+        if levels is None:
             raise ContractError("level_paths queried off support")
-        la = la0 + np.concatenate(([0.0], np.cumsum(da)))
-        lb = lb0 + np.concatenate(([0.0], np.cumsum(db)))
-        seg = self._segments(taus)
+        la, lb, seg = levels
         return np.exp(la)[seg], np.exp(lb)[seg]
 
     def initial_theta(self, rng):

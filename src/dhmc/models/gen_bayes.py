@@ -17,8 +17,6 @@ from ..core import ContractError, TargetModel
 __all__ = ["GenBayesTarget", "synth_classification", "save_classification",
            "load_classification"]
 
-_EMPTY = np.array([], dtype=np.intp)
-
 
 class GenBayesTarget(TargetModel):
 
@@ -36,15 +34,7 @@ class GenBayesTarget(TargetModel):
         self.n, self.k = X.shape
         self.dim = self.k
         self._yx = y[:, None] * X
-        self._disc = np.arange(self.k, dtype=np.intp)
-
-    @property
-    def smooth_idx(self):
-        return _EMPTY
-
-    @property
-    def disc_idx(self):
-        return self._disc
+        self.disc_idx = np.arange(self.k, dtype=np.intp)
 
     @property
     def param_names(self):

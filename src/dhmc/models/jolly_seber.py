@@ -153,8 +153,8 @@ class JollySeberTarget(TargetModel):
         T = stats.T
         self.T = T
         self.dim = 3 * T - 1
-        self._smooth = np.arange(2 * T - 1, dtype=np.intp)
-        self._disc = np.arange(2 * T - 1, 3 * T - 1, dtype=np.intp)
+        self.smooth_idx = np.arange(2 * T - 1, dtype=np.intp)
+        self.disc_idx = np.arange(2 * T - 1, 3 * T - 1, dtype=np.intp)
         self.emaps = []
         for i in range(T):
             lo = max(int(stats.u[i]), 1 if i == 0 else 0)
@@ -167,22 +167,14 @@ class JollySeberTarget(TargetModel):
             else:
                 raise ContractError(f"unknown embedding kind {kind!r}")
             self.emaps.append(emap)
-        self.embeddings = {int(j): m for j, m in zip(self._disc, self.emaps)}
+        self.embeddings = {int(j): m for j, m in zip(self.disc_idx, self.emaps)}
         # per-occasion ints for the float arithmetic of potential_diff
         self._u_obs = stats.u.tolist()
         self._u_lo = [emap.lo for emap in self.emaps]
 
     @property
-    def smooth_idx(self):
-        return self._smooth
-
-    @property
-    def disc_idx(self):
-        return self._disc
-
-    @property
     def diff_idx(self):
-        return self._disc
+        return self.disc_idx
 
     @property
     def param_names(self):
@@ -308,6 +300,8 @@ class JollySeberTarget(TargetModel):
     def potential_diff(self, theta, j, value):
         T = self.T
         i = j - (2 * T - 1)
+        if not 0 <= i < T:
+            raise ContractError(f"coordinate {j} is outside diff_idx")
         knots = self.emaps[i].knots
         if not knots.item(0) < value <= knots.item(-1):
             return math.inf

@@ -13,8 +13,6 @@ from ..embedding import EmbeddingMap
 
 __all__ = ["GaussianTarget", "GridTarget", "BananaTarget"]
 
-_EMPTY = np.array([], dtype=np.intp)
-
 
 class GaussianTarget(TargetModel):
     """Independent Gaussian coordinates, all smooth.
@@ -33,15 +31,7 @@ class GaussianTarget(TargetModel):
         if np.any(self.sd <= 0):
             raise ContractError("sd must be positive")
         self._ivar = 1.0 / self.sd ** 2
-        self._smooth = np.arange(dim, dtype=np.intp)
-
-    @property
-    def smooth_idx(self):
-        return self._smooth
-
-    @property
-    def disc_idx(self):
-        return _EMPTY
+        self.smooth_idx = np.arange(dim, dtype=np.intp)
 
     def potential(self, theta):
         z = theta - self.mean
@@ -88,7 +78,7 @@ class GridTarget(TargetModel):
             shape[i] = m.n_cells
             table = table + logw.reshape(shape)
         self._table = table
-        self._disc = np.arange(self.dim, dtype=np.intp)
+        self.disc_idx = np.arange(self.dim, dtype=np.intp)
         self.embeddings = {i: m for i, m in enumerate(self.axis_maps)}
         if name:
             self.name = name
@@ -102,14 +92,6 @@ class GridTarget(TargetModel):
             emap = EmbeddingMap.uniform(1, len(probs))
         with np.errstate(divide="ignore"):
             return cls([emap], np.log(probs), name=name)
-
-    @property
-    def smooth_idx(self):
-        return _EMPTY
-
-    @property
-    def disc_idx(self):
-        return self._disc
 
     def _cells(self, theta):
         cells = []
@@ -168,15 +150,7 @@ class BananaTarget(TargetModel):
         if step <= 0:
             raise ContractError("step must be positive")
         self.step = float(step)
-        self._disc = np.arange(2, dtype=np.intp)
-
-    @property
-    def smooth_idx(self):
-        return _EMPTY
-
-    @property
-    def disc_idx(self):
-        return self._disc
+        self.disc_idx = np.arange(2, dtype=np.intp)
 
     def potential(self, theta):
         t0, t1 = theta[0], theta[1]

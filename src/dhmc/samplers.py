@@ -175,7 +175,6 @@ def _dhmc_move(model, theta, smooth, disc, rng, eps_range, path_range, mass,
     p = sample_momentum(rng, mass, smooth, disc)
     order = SweepOrder.draw(rng, disc)
     prop = theta.copy()
-    pv = p.copy()
     tables = _sweep_tables(model, mass, disc, len(theta))
     flips = 0
     evals = 0
@@ -187,7 +186,7 @@ def _dhmc_move(model, theta, smooth, disc, rng, eps_range, path_range, mass,
         evals += 1
     for _ in range(L):
         f, e, diverged, u_end, g = _dhmc_step_inplace(
-            model, prop, pv, smooth, mass, eps, order.perm, tables, g)
+            model, prop, p, smooth, mass, eps, order.perm, tables, g)
         flips += f
         evals += e
         if diverged:
@@ -196,7 +195,7 @@ def _dhmc_move(model, theta, smooth, disc, rng, eps_range, path_range, mass,
     delta_h = 0.0
     accepted = True
     if len(smooth):
-        k1 = kinetic_energy(pv, mass, smooth, disc)
+        k1 = kinetic_energy(p, mass, smooth, disc)
         delta_h = float((u_end + k1) - (u_current + k0))
         accepted = bool(np.log(rng.uniform()) < -delta_h)
     row = (accepted, delta_h, flips, updates, evals, eps, L, False)

@@ -15,17 +15,9 @@ class FlatTarget(TargetModel):
 
     def __init__(self, dim=1, with_diff=True):
         self.dim = dim
-        self._disc = np.arange(dim, dtype=np.intp)
+        self.disc_idx = np.arange(dim, dtype=np.intp)
         if with_diff:
             self.potential_diff = lambda theta, j, value: 0.0
-
-    @property
-    def smooth_idx(self):
-        return _EMPTY
-
-    @property
-    def disc_idx(self):
-        return self._disc
 
     def potential(self, theta):
         return 0.0
@@ -39,15 +31,7 @@ class LinearSlope(TargetModel):
 
     def __init__(self, slope=-1.0):
         self.slope = slope
-        self._disc = np.array([0], dtype=np.intp)
-
-    @property
-    def smooth_idx(self):
-        return _EMPTY
-
-    @property
-    def disc_idx(self):
-        return self._disc
+        self.disc_idx = np.array([0], dtype=np.intp)
 
     def potential(self, theta):
         return float(self.slope * theta[0])
@@ -62,15 +46,7 @@ class StepBarrier(TargetModel):
     def __init__(self, edge=1.0, height=1.0):
         self.edge = edge
         self.height = height
-        self._disc = np.array([0], dtype=np.intp)
-
-    @property
-    def smooth_idx(self):
-        return _EMPTY
-
-    @property
-    def disc_idx(self):
-        return self._disc
+        self.disc_idx = np.array([0], dtype=np.intp)
 
     def potential(self, theta):
         return float(self.height) if theta[0] >= self.edge else 0.0
@@ -90,15 +66,7 @@ class SmoothStep(TargetModel):
     def __init__(self, edge=1.0, height=1.0):
         self.edge = edge
         self.height = height
-        self._smooth = np.array([0], dtype=np.intp)
-
-    @property
-    def smooth_idx(self):
-        return self._smooth
-
-    @property
-    def disc_idx(self):
-        return _EMPTY
+        self.smooth_idx = np.array([0], dtype=np.intp)
 
     def potential(self, theta):
         t = theta[0]
@@ -119,15 +87,7 @@ class WalledGaussian(TargetModel):
 
     def __init__(self, bound=2.0):
         self.bound = bound
-        self._smooth = np.array([0], dtype=np.intp)
-
-    @property
-    def smooth_idx(self):
-        return self._smooth
-
-    @property
-    def disc_idx(self):
-        return _EMPTY
+        self.smooth_idx = np.array([0], dtype=np.intp)
 
     def potential(self, theta):
         if abs(theta[0]) > self.bound:
@@ -155,20 +115,12 @@ class CoupledMix(TargetModel):
         self.emap = EmbeddingMap.uniform(1, len(self.probs))
         self.embeddings = {1: self.emap}
         self._log_pmf = np.log(self.probs)
-        self._smooth = np.array([0], dtype=np.intp)
-        self._disc = np.array([1], dtype=np.intp)
-
-    @property
-    def smooth_idx(self):
-        return self._smooth
-
-    @property
-    def disc_idx(self):
-        return self._disc
+        self.smooth_idx = np.array([0], dtype=np.intp)
+        self.disc_idx = np.array([1], dtype=np.intp)
 
     @property
     def diff_idx(self):
-        return self._disc
+        return self.disc_idx
 
     def _stiff(self, n):
         return 1.0 + self.gamma * n

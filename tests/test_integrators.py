@@ -548,14 +548,8 @@ def test_leapfrog_exact_for_linear_potential():
         def __init__(self, c):
             super().__init__(dim=1)
             self.c = c
-
-        @property
-        def smooth_idx(self):
-            return np.array([0], dtype=np.intp)
-
-        @property
-        def disc_idx(self):
-            return _EMPTY
+            self.smooth_idx = np.array([0], dtype=np.intp)
+            self.disc_idx = _EMPTY
 
         def potential(self, theta):
             return self.c * float(theta[0])

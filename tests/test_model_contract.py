@@ -82,6 +82,33 @@ def _walk(model, kernel, seed, n_warmup=30, n_samples=60):
     return run_chain(model, None, cfg)
 
 
+# -------------------------------------------------------------- partition
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_partition_covers_every_coordinate_once(name):
+    model = MODELS[name]()
+    smooth, disc = model.smooth_idx, model.disc_idx
+    for block in (smooth, disc):
+        assert block.ndim == 1 and block.dtype == np.intp
+    assert sorted(smooth.tolist() + disc.tolist()) == list(range(model.dim))
+    assert set(np.asarray(model.diff_idx).tolist()) <= set(range(model.dim))
+    # a model declares its non-empty block(s); the other stays empty
+    for block in (smooth, disc):
+        if not len(block):
+            assert not block.flags.writeable
+
+
+@pytest.mark.parametrize("name", WITH_DIFF)
+def test_diff_outside_diff_idx_is_a_contract_error(name):
+    model = MODELS[name]()
+    theta = model.initial_theta(np.random.default_rng(1))
+    covered = set(np.asarray(model.diff_idx).tolist())
+    for j in sorted(set(range(model.dim)) - covered):
+        with pytest.raises(ContractError, match=rf"coordinate {j}\b"):
+            model.potential_diff(theta, j, theta[j] + 0.3)
+
+
 # ------------------------------------------------- diffs along trajectories
 
 
@@ -269,11 +296,12 @@ def test_off_support_is_inf_on_both_paths(name):
         theta = np.array([model.axis_maps[0].embed_center(2),
                           model.axis_maps[1].embed_center(4)])
     assert math.isfinite(model.potential(theta))
+    covered = set(np.asarray(model.diff_idx).tolist())
     for j, value in _off_support(name, model, theta):
         moved = theta.copy()
         moved[j] = value
         assert model.potential(moved) == np.inf, (j, value)
-        if model.potential_diff is not None:
+        if j in covered:
             assert model.potential_diff(theta, j, value) == np.inf, (j, value)
 
 

@@ -624,6 +624,23 @@ def test_arch_no_changepoints_matches_plain_arch_oracle():
         assert model.potential(theta) == pytest.approx(ref, abs=1e-10)
 
 
+def test_arch_no_changepoints_gradient_and_constant_levels():
+    y, _ = synth_arch_series(np.random.default_rng(4), T=60)
+    model = ArchChangePointTarget(y, k_max=0)
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        theta = rng.normal(size=4)
+        np.testing.assert_allclose(model.grad_smooth(theta),
+                                   fd_grad(model.potential, theta),
+                                   rtol=1e-6, atol=1e-5)
+        a_t, b_t = model.level_paths(theta)
+        assert a_t.shape == b_t.shape == (len(y) - 1,)
+        np.testing.assert_array_equal(a_t, a_t[0])  # one segment
+        np.testing.assert_array_equal(b_t, b_t[0])
+        assert a_t[0] == pytest.approx(math.exp(theta[0]), rel=1e-15)
+        assert b_t[0] == pytest.approx(math.exp(theta[1]), rel=1e-15)
+
+
 def test_arch_zero_slope_is_iid_normal():
     y, _ = synth_arch_series(np.random.default_rng(6), T=40)
     a = 1.7
