@@ -15,8 +15,10 @@ Verbs
 - ``dhmc plotdata RUN_DIR --kind {trajectory,marginal2d,funcdraws}``: plain
   CSV files ready for plotting, no rendering.
 
-Exit codes: 2 configuration problems, 3 missing models/data/artifacts,
-4 numeric failures while sampling.  ``DHMC_MAX_WORKERS`` caps chain-level
+Exit codes, one rule for every verb: 2 for a configuration or usage error
+(``run`` then writes nothing), 3 for a model, data file or run artifact that
+cannot be built or read (an unknown model too, in a config or in a run
+directory), 4 for a numeric failure.  ``DHMC_MAX_WORKERS`` caps chain-level
 parallelism; the default of 1 runs chains sequentially in-process (the
 results are identical either way).
 """
@@ -39,7 +41,7 @@ from .diagnostics import min_ess_report, summarize
 from .integrators import SweepOrder, coord_step
 from .models import build_model
 from .samplers import (TRACE_DTYPE, SampleStore, SamplerConfig, chain_setup,
-                       run_chain)
+                       config_value, run_chain)
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
 
@@ -82,6 +84,8 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             user = yaml.safe_load(fh) or {}
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {exc.filename}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(user, dict):
@@ -91,57 +95,45 @@ def load_config(path: str) -> dict:
 
 
 def _validate_run_config(cfg: dict) -> SamplerConfig:
+    """Check the run-level keys; the sampler fields are SamplerConfig's."""
     if not cfg["model"]["name"]:
         raise ConfigError("model.name is required")
     if cfg["seed"] is None:
         raise ConfigError("seed is required")
-    cfg["seed"] = int(cfg["seed"])
-    cfg["chains"] = int(cfg["chains"])
+    cfg["chains"] = config_value(cfg["chains"], "chains")
     if cfg["chains"] < 1:
         raise ConfigError(f"chains must be >= 1, got {cfg['chains']}")
     if cfg["format"] not in ("csv", "jsonl"):
         raise ConfigError(f"format must be csv or jsonl, got {cfg['format']!r}")
-    return _sampler_config(cfg)  # field validation happens in the constructor
-
-
-def _sampler_config(cfg: dict) -> SamplerConfig:
-    s = cfg["sampler"]
-    eps = s["eps_range"]
-    if eps is not None:
-        if isinstance(eps, (int, float)):
-            eps = (float(eps), float(eps))
-        elif isinstance(eps, (list, tuple)) and len(eps) == 2:
-            eps = (float(eps[0]), float(eps[1]))
-        else:
-            raise ConfigError("sampler.eps_range must be a number or a [min, max] pair")
-    path_len = s["path_len"]
-    if isinstance(path_len, (list, tuple)):
-        path_len = tuple(int(v) for v in path_len)
-    else:
-        path_len = int(path_len)
-    rwm_cov = s["rwm_cov"]
-    if rwm_cov is not None:
-        rwm_cov = np.asarray(rwm_cov, dtype=float)
-    mass = s["mass"]
+    if not cfg["output_dir"]:
+        raise ConfigError("output_dir must be a non-empty path")
+    sampler = dict(cfg["sampler"])
+    mass = sampler.pop("mass")
     if mass is not None:
         if not isinstance(mass, dict):
             raise ConfigError("sampler.mass must be a mapping with m_disc/diag_smooth")
-        diag = mass.get("diag_smooth")
-        mass = MassSpec(
-            m_disc=np.asarray(mass.get("m_disc", []), dtype=float),
-            diag_smooth=None if diag is None else np.asarray(diag, dtype=float))
-    return SamplerConfig(
-        kernel=s["kernel"],
-        eps_range=eps,
-        path_len=path_len,
-        mass=mass,
-        seed=cfg["seed"],
-        n_samples=int(s["n_samples"]),
-        n_warmup=int(s["n_warmup"]),
-        target_stat=s["target_stat"],
-        tune_eps=s["tune_eps"],
-        tune_mass=s["tune_mass"],
-        rwm_cov=rwm_cov)
+        try:
+            mass = MassSpec(m_disc=mass.get("m_disc", []),
+                            diag_smooth=mass.get("diag_smooth"))
+        except (TypeError, ValueError) as exc:  # ContractError included
+            raise ConfigError(f"sampler.mass: {exc}") from None
+    scfg = SamplerConfig(seed=cfg["seed"], mass=mass, **sampler)
+    cfg["seed"] = scfg.seed  # the resolved config.yaml records the integer
+    return scfg
+
+
+class _Unreadable(DhmcError):
+    """A model, data file or run artifact that cannot be built or read."""
+
+
+def _build_model(m: dict):
+    """The model of a config's ``model`` section."""
+    try:
+        return build_model(m["name"], m["params"], m["data"], m["synth_seed"])
+    except FileNotFoundError as exc:
+        raise _Unreadable(f"data file not found: {exc}") from None
+    except (DhmcError, OSError, KeyError, TypeError) as exc:
+        raise _Unreadable(f"cannot build model {m.get('name')!r}: {exc}") from None
 
 
 def _fmt(v) -> str:
@@ -277,43 +269,15 @@ def _versions() -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        if args.out:
-            cfg["output_dir"] = args.out
-        if args.chains:
-            cfg["chains"] = args.chains
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.format:
-            cfg["format"] = args.format
-        scfg = _validate_run_config(cfg)
-        try:
-            workers = int(os.environ.get("DHMC_MAX_WORKERS", "1"))
-        except ValueError:
-            raise ConfigError("DHMC_MAX_WORKERS must be an integer") from None
-    except FileNotFoundError as exc:
-        print(f"error: config file not found: {exc.filename}", file=sys.stderr)
-        return 2
-    except (ConfigError, ContractError) as exc:  # ContractError: a bad mass
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        model = build_model(cfg["model"]["name"], cfg["model"]["params"],
-                            cfg["model"]["data"], cfg["model"]["synth_seed"])
-    except FileNotFoundError as exc:
-        print(f"error: data file not found: {exc}", file=sys.stderr)
-        return 3
-    except (DhmcError, OSError, TypeError) as exc:
-        print(f"error: cannot build model {cfg['model']['name']!r}: {exc}",
-              file=sys.stderr)
-        return 3
-    try:
-        chain_setup(model, scfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
+    overrides = {"output_dir": args.out, "chains": args.chains,
+                 "seed": args.seed, "format": args.format}
+    cfg.update((k, v) for k, v in overrides.items() if v is not None)
+    scfg = _validate_run_config(cfg)
+    workers = config_value(os.environ.get("DHMC_MAX_WORKERS", "1"),
+                           "DHMC_MAX_WORKERS")
+    model = _build_model(cfg["model"])
+    chain_setup(model, scfg)
 
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -339,19 +303,12 @@ def cmd_run(args) -> int:
          cfg["format"], c, cfg["model"]["name"])
         for c in range(cfg["chains"])
     ]
-    try:
-        if workers > 1 and cfg["chains"] > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=min(workers, cfg["chains"])) as pool:
-                reports = list(pool.map(_chain_worker, payloads))
-        else:
-            reports = [_chain_worker(p) for p in payloads]
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DhmcError, ArithmeticError) as exc:
-        print(f"error: numeric failure while sampling: {exc}", file=sys.stderr)
-        return 4
+    if workers > 1 and cfg["chains"] > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(workers, cfg["chains"])) as pool:
+            reports = list(pool.map(_chain_worker, payloads))
+    else:
+        reports = [_chain_worker(p) for p in payloads]
 
     total_div = sum(r["divergences"] for r in reports)
     print(f"wrote {cfg['chains']} chain(s) to {out_dir} "
@@ -360,8 +317,6 @@ def cmd_run(args) -> int:
 
 
 def _chain_dirs(run_dir: str) -> list:
-    if not os.path.isdir(run_dir):
-        raise FileNotFoundError(run_dir)
     dirs = sorted(d for d in os.listdir(run_dir)
                   if d.startswith("chain_")
                   and os.path.isdir(os.path.join(run_dir, d)))
@@ -411,10 +366,11 @@ def _load_chain(chain_dir: str):
     else:
         raise FileNotFoundError(f"no samples file in {chain_dir}")
     names = report["param_names"]
+    lo, hi = report["eps_range_used"]
     store = SampleStore(
         names=list(names),
         draws=np.column_stack([raw[name] for name in names]),
-        kernel=report["kernel"], eps_range=tuple(report["eps_range_used"]),
+        kernel=report["kernel"], eps_range=(float(lo), float(hi)),
         mass=MassSpec(m_disc=report["mass_disc"],
                       diag_smooth=report["mass_diag_smooth"]),
         divergences=report["divergences"],
@@ -425,24 +381,30 @@ def _load_chain(chain_dir: str):
     return store, report, raw
 
 
-def cmd_diagnose(args) -> int:
+def _load_run(run_dir: str) -> list:
+    """``_load_chain`` of every chain directory under ``run_dir``."""
     try:
-        dirs = _chain_dirs(args.run_dir)
-        loaded = [_load_chain(d) for d in dirs]
-    except (FileNotFoundError, OSError, KeyError, json.JSONDecodeError,
-            ContractError) as exc:
-        print(f"error: cannot read run artifacts: {exc}", file=sys.stderr)
-        return 3
+        return [_load_chain(d) for d in _chain_dirs(run_dir)]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise _Unreadable(f"cannot read run artifacts: {exc}") from None
+
+
+def _score(fn, *args):
+    """``fn(*args)`` for ``min_ess_report`` or ``summarize``; artifacts they
+    cannot score (too few or constant draws) count as unreadable."""
     try:
-        selector = args.params or None
-        reports = [min_ess_report(st, selector, args.batches)
-                   for st, _, _ in loaded]
-        payload = {"chains": [r.to_dict() for r in reports]}
-        if len(reports) >= 2:
-            payload["summary"] = summarize(reports).to_dict()
+        return fn(*args)
     except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        raise _Unreadable(str(exc)) from None
+
+
+def cmd_diagnose(args) -> int:
+    selector = args.params or None
+    reports = [_score(min_ess_report, st, selector, args.batches)
+               for st, _, _ in _load_run(args.run_dir)]
+    payload = {"chains": [r.to_dict() for r in reports]}
+    if len(reports) >= 2:
+        payload["summary"] = _score(summarize, reports).to_dict()
     out_path = os.path.join(args.run_dir, "ess.json")
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -453,8 +415,8 @@ def cmd_diagnose(args) -> int:
 
 
 def _run_metrics(run_dir: str, batches: int) -> dict:
-    loaded = [_load_chain(d) for d in _chain_dirs(run_dir)]
-    reports = [min_ess_report(st, None, batches) for st, _, _ in loaded]
+    loaded = _load_run(run_dir)
+    reports = [_score(min_ess_report, st, None, batches) for st, _, _ in loaded]
     chain_reports = [rep for _, rep, _ in loaded]
     min_ess = float(np.mean([r.min_ess for r in reports]))
     evals = float(np.mean([r["potential_evals"] for r in chain_reports]))
@@ -479,21 +441,11 @@ COMPARE_FIELDS = ("run", "kernel", "min_ess", "ess_per_100",
 
 def cmd_compare(args) -> int:
     if len(args.run_dirs) < 2:
-        print("error: compare needs at least two run directories", file=sys.stderr)
-        return 2
-    try:
-        rows = [_run_metrics(d, args.batches) for d in args.run_dirs]
-    except (FileNotFoundError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read run artifacts: {exc}", file=sys.stderr)
-        return 3
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        raise ConfigError("compare needs at least two run directories")
+    rows = [_run_metrics(d, args.batches) for d in args.run_dirs]
     models = {r["model"] for r in rows}
     if len(models) > 1:
-        print(f"error: runs target different models: {sorted(models)}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"runs target different models: {sorted(models)}")
     floor = min(r["evals_per_iter"] for r in rows)
     for r in rows:
         r["rel_iter_cost"] = r["evals_per_iter"] / floor if floor else float("nan")
@@ -520,27 +472,29 @@ def cmd_compare(args) -> int:
 
 
 def _run_model(run_dir: str):
-    """The resolved config of a run directory and the model it sampled."""
-    with open(os.path.join(run_dir, "config.yaml")) as fh:
-        cfg = yaml.safe_load(fh)
-    m = cfg["model"]
-    return cfg, build_model(m["name"], m["params"], m["data"], m["synth_seed"])
+    """The seed of a run directory and the model it sampled, from its
+    resolved config."""
+    try:
+        with open(os.path.join(run_dir, "config.yaml")) as fh:
+            cfg = yaml.safe_load(fh)
+        seed, m = int(cfg["seed"]), dict(cfg["model"])
+    except (OSError, KeyError, TypeError, ValueError, yaml.YAMLError) as exc:
+        raise _Unreadable(f"cannot read run artifacts: {exc}") from None
+    return seed, _build_model(m)
 
 
 def _plot_trajectory(args, run_dir: str) -> str:
-    cfg, model = _run_model(run_dir)
+    seed, model = _run_model(run_dir)
     if len(model.smooth_idx):
         raise ConfigError("trajectory plot data needs an all-discontinuous target")
-    chain_dirs = _chain_dirs(run_dir)
-    with open(os.path.join(chain_dirs[0], "report.json")) as fh:
-        report = json.load(fh)
-    lo, hi = report["eps_range_used"]
+    store = _load_run(run_dir)[0][0]
+    lo, hi = store.eps_range
     eps = 0.5 * (lo + hi)
     steps = args.steps
-    rng = np.random.default_rng(cfg["seed"] + 9999)
+    rng = np.random.default_rng(seed + 9999)
     theta = model.initial_theta(rng)
     disc = model.disc_idx
-    mass = MassSpec(m_disc=np.asarray(report["mass_disc"], dtype=float))
+    mass = MassSpec(m_disc=store.mass.m_disc)
     state = PhaseState(theta, sample_momentum(rng, mass, model.smooth_idx, disc),
                        model.smooth_idx, disc)
     order = SweepOrder.draw(rng, disc)
@@ -564,8 +518,7 @@ def _plot_marginal2d(args, run_dir: str) -> str:
     if not args.params or len(args.params) != 2:
         raise ConfigError("marginal2d needs exactly two --params names")
     xs, ys = [], []
-    for d in _chain_dirs(run_dir):
-        store, report, _ = _load_chain(d)
+    for store, _, _ in _load_run(run_dir):
         for name in args.params:
             if name not in store.names:
                 raise ConfigError(f"unknown parameter {name!r}; "
@@ -592,7 +545,7 @@ def _plot_funcdraws(args, run_dir: str) -> str:
     _, model = _run_model(run_dir)
     if not hasattr(model, "level_paths"):
         raise ConfigError(f"model {model.name!r} has no piecewise level paths")
-    store, report, raw = _load_chain(_chain_dirs(run_dir)[0])
+    store, report, raw = _load_run(run_dir)[0]
     names = report["param_names"]
     embedded = set(report.get("embedded", []))
     path = os.path.join(run_dir, "plot_funcdraws.csv")
@@ -614,22 +567,19 @@ def cmd_plotdata(args) -> int:
     kinds = {"trajectory": _plot_trajectory, "marginal2d": _plot_marginal2d,
              "funcdraws": _plot_funcdraws}
     if args.kind not in kinds:
-        print(f"error: unknown plot kind {args.kind!r}; choose from "
-              f"{sorted(kinds)}", file=sys.stderr)
-        return 2
-    try:
-        path = kinds[args.kind](args, args.run_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read run artifacts: {exc}", file=sys.stderr)
-        return 3
-    except (DhmcError, ArithmeticError) as exc:
-        print(f"error: numeric failure: {exc}", file=sys.stderr)
-        return 4
+        raise ConfigError(f"unknown plot kind {args.kind!r}; choose from "
+                          f"{sorted(kinds)}")
+    path = kinds[args.kind](args, args.run_dir)
     print(f"wrote {path}")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the count options: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -642,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run warmup + sampling per the config")
     p_run.add_argument("--config", required=True, help="YAML config path")
     p_run.add_argument("--out", help="output directory (overrides config)")
-    p_run.add_argument("--chains", type=int, help="number of chains")
+    p_run.add_argument("--chains", type=_positive_int, help="number of chains")
     p_run.add_argument("--seed", type=int, help="master seed (overrides config)")
     p_run.add_argument("--format", choices=("csv", "jsonl"),
                        help="samples file format")
@@ -651,13 +601,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="effective sample size report")
     p_diag.add_argument("run_dir")
     p_diag.add_argument("--params", nargs="*", help="parameter subset")
-    p_diag.add_argument("--batches", type=int, default=25)
+    p_diag.add_argument("--batches", type=_positive_int, default=25)
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_cmp = sub.add_parser("compare", help="tabulate several runs on one model")
     p_cmp.add_argument("run_dirs", nargs="+")
     p_cmp.add_argument("--out", help="directory for compare.csv (default .)")
-    p_cmp.add_argument("--batches", type=int, default=25)
+    p_cmp.add_argument("--batches", type=_positive_int, default=25)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_plot = sub.add_parser("plotdata", help="emit plain-CSV plot data")
@@ -665,18 +615,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--kind", required=True)
     p_plot.add_argument("--params", nargs="*",
                         help="two parameter names for marginal2d")
-    p_plot.add_argument("--bins", type=int, default=40)
-    p_plot.add_argument("--steps", type=int, default=30,
+    p_plot.add_argument("--bins", type=_positive_int, default=40)
+    p_plot.add_argument("--steps", type=_positive_int, default=30,
                         help="sweeps for a trajectory dump")
-    p_plot.add_argument("--ndraws", type=int, default=100,
+    p_plot.add_argument("--ndraws", type=_positive_int, default=100,
                         help="posterior draws for funcdraws")
     p_plot.set_defaults(func=cmd_plotdata)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one verb; every error it raises is mapped to its exit code here."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        code, message = 2, str(exc)
+    except _Unreadable as exc:
+        code, message = 3, str(exc)
+    except (DhmcError, ArithmeticError) as exc:
+        code, message = 4, f"numeric failure: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -108,6 +108,8 @@ def min_ess_report(store, selector=None, batches: int = 25) -> EssReport:
     so the report speaks about the distribution that matters rather than the
     embedding artifact.  Constant sequences are excluded with a warning.
     """
+    if batches < 2:
+        raise ContractError(f"need at least 2 batches, got {batches}")
     if store.n_samples == 0:
         raise ContractError("store holds no draws")
     if store.n_samples < 2 * batches:
@@ -129,7 +131,7 @@ def min_ess_report(store, selector=None, batches: int = 25) -> EssReport:
             seq = x if power == 1 else x * x
             try:
                 ess = batch_means_ess(seq, batches)
-            except ContractError:
+            except ContractError:  # the counts are checked: a constant seq
                 warnings.append(
                     f"{store.names[i]}^{power} is constant; excluded from ESS")
                 continue

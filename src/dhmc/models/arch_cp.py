@@ -163,7 +163,9 @@ class ArchChangePointTarget(TargetModel):
             sigma2 = np.exp(la)[seg] + np.exp(lb)[seg] * self._ylag2
         if np.any(sigma2 <= 0.0):
             return float("inf")
-        pot = 0.5 * np.sum(np.log(sigma2) + _LOG_2PI + self._ysq / sigma2)
+        with np.errstate(over="ignore"):
+            # a subnormal variance makes the potential +inf
+            pot = 0.5 * np.sum(np.log(sigma2) + _LOG_2PI + self._ysq / sigma2)
         pot += 0.5 * (la0 * la0 + lb0 * lb0) + _LOG_2PI
         if self.k_max:
             scales = self._jump_scales(lsa, lsb, lea, leb)

@@ -56,13 +56,25 @@ DEFAULT_TARGET_STAT = {
 }
 
 
+def config_value(value, name: str, kind=int):
+    """``kind(value)``, or a ConfigError that names the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Settings for one chain.
 
-    ``eps_range`` is the (min, max) stepsize jitter window; leave it None to
-    let warmup adaptation find a stepsize, in which case the sampling phase
-    uses Uniform(0.8 e, e) around the adapted value e.  ``path_len`` is either
+    The fields are converted and checked here, each with a ConfigError that
+    names it; ``rwm_cov`` needs the model and is checked by ``chain_setup``.
+    ``eps_range`` is the (min, max) stepsize jitter window, or one
+    number for a fixed stepsize; leave it None to let warmup adaptation find
+    a stepsize, in which case the sampling phase uses Uniform(0.8 e, e)
+    around the adapted value e.  ``path_len`` is either
     an integer L, jittered over {ceil(0.9 L) .. L} per trajectory, or an
     explicit (min, max) pair; (L, L) disables the jitter.  ``mass`` of None
     means unit masses, re-estimated halfway through warmup when ``tune_mass``
@@ -71,7 +83,7 @@ class SamplerConfig:
     """
 
     kernel: str = "dhmc"
-    eps_range: tuple | None = None
+    eps_range: tuple | float | None = None
     path_len: int | tuple = 1
     mass: MassSpec | None = None
     seed: int | None = None
@@ -80,33 +92,50 @@ class SamplerConfig:
     target_stat: float | None = None
     tune_eps: bool | None = None
     tune_mass: bool | None = None
-    rwm_cov: np.ndarray | None = None
+    rwm_cov: np.ndarray | list | None = None
 
     def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
         if self.kernel not in KERNELS:
             raise ConfigError(f"unknown kernel {self.kernel!r}; choose from {KERNELS}")
         if self.eps_range is not None:
+            eps = self.eps_range
+            if isinstance(eps, (int, float)):
+                eps = (eps, eps)
             try:
-                lo, hi = self.eps_range
+                lo, hi = map(float, eps)
             except (TypeError, ValueError):
-                raise ConfigError("eps_range must be a (min, max) pair") from None
+                raise ConfigError("eps_range must be a (min, max) pair or a "
+                                  f"number, got {self.eps_range!r}") from None
             if not (0.0 < lo <= hi) or not math.isfinite(hi):
                 raise ConfigError(
                     f"eps_range must satisfy 0 < min <= max, got ({lo}, {hi})")
-            object.__setattr__(self, "eps_range", (float(lo), float(hi)))
-        if isinstance(self.path_len, (tuple, list)):
-            lo, hi = self.path_len
-            if not (1 <= lo <= hi):
-                raise ConfigError(f"path_len range must satisfy 1 <= min <= max, got ({lo}, {hi})")
-            object.__setattr__(self, "path_len", (int(lo), int(hi)))
-        elif int(self.path_len) < 1:
-            raise ConfigError(f"path_len must be >= 1, got {self.path_len}")
-        else:
-            object.__setattr__(self, "path_len", int(self.path_len))
+            put("eps_range", (lo, hi))
+        pair = isinstance(self.path_len, (tuple, list))
+        try:
+            lo, hi = map(int, self.path_len) if pair else (int(self.path_len),) * 2
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("path_len must be an integer or a (min, max) pair, "
+                              f"got {self.path_len!r}") from None
+        if not 1 <= lo <= hi:
+            raise ConfigError(
+                f"path_len range must satisfy 1 <= min <= max, got ({lo}, {hi})"
+                if pair else f"path_len must be >= 1, got {lo}")
+        put("path_len", (lo, hi) if pair else lo)
+        put("n_samples", config_value(self.n_samples, "n_samples"))
+        put("n_warmup", config_value(self.n_warmup, "n_warmup"))
         if self.n_samples < 0 or self.n_warmup < 0:
             raise ConfigError("n_samples and n_warmup must be nonnegative")
-        if self.target_stat is not None and not 0.0 < self.target_stat < 1.0:
-            raise ConfigError(f"target_stat must lie in (0, 1), got {self.target_stat}")
+        if self.seed is not None:
+            put("seed", config_value(self.seed, "seed"))
+            if self.seed < 0:
+                raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.target_stat is not None:
+            put("target_stat", config_value(self.target_stat, "target_stat", float))
+            if not 0.0 < self.target_stat < 1.0:
+                raise ConfigError(f"target_stat must lie in (0, 1), got {self.target_stat}")
         if self.eps_range is None and not self.resolved_tune_eps():
             raise ConfigError("eps_range is required when stepsize tuning is off")
 
@@ -208,7 +237,10 @@ def _proposal_factor(rwm_cov, dim):
     """Left factor A with A A' = covariance; None means identity."""
     if rwm_cov is None:
         return None
-    cov = np.asarray(rwm_cov, dtype=float)
+    try:
+        cov = np.asarray(rwm_cov, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"rwm_cov must be numeric, got {rwm_cov!r}") from None
     if cov.ndim == 1:
         if cov.shape[0] != dim or np.any(cov < 0):
             raise ConfigError("diagonal rwm_cov must be length dim and nonnegative")

@@ -126,6 +126,17 @@ def test_run_seed_override(tmp_path):
     ({"model": {"name": "pmf", "params": {}},
       "sampler": {"kernel": "rwm", "rwm_cov": [1.0, 2.0]}},
      "diagonal rwm_cov must be length dim"),
+    # malformed values, each named by its field
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"chains": "two"}, "chains must be an integer, got 'two'"),
+    ({"sampler": {"n_samples": "lots"}}, "n_samples must be an integer"),
+    ({"sampler": {"path_len": "long"}}, "path_len must be an integer or a"),
+    ({"sampler": {"eps_range": ["a", 1]}}, "eps_range must be a (min, max) pair"),
+    ({"sampler": {"target_stat": "high"}}, "target_stat must be a number"),
+    ({"sampler": {"mass": {"m_disc": "abc"}}}, "sampler.mass: could not convert"),
+    ({"sampler": {"kernel": "rwm", "rwm_cov": ["a", "b"]}},
+     "rwm_cov must be numeric"),
 ])
 def test_run_config_errors(tmp_path, capsys, overrides, fragment):
     cfg = write_config(tmp_path / "c.yaml", output_dir=str(tmp_path / "out"),
@@ -133,6 +144,13 @@ def test_run_config_errors(tmp_path, capsys, overrides, fragment):
     assert run_cli("run", "--config", cfg) == 2
     assert fragment in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # nothing written
+
+
+def test_run_rejects_an_empty_output_dir(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.yaml", output_dir=str(tmp_path / "out"))
+    assert run_cli("run", "--config", cfg, "--out", "") == 2
+    assert "output_dir must be a non-empty path" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_a_non_integer_worker_count(tmp_path, capsys, monkeypatch):
@@ -153,6 +171,26 @@ def test_run_unknown_model(tmp_path, capsys):
                        output_dir=str(tmp_path / "out"))
     assert run_cli("run", "--config", cfg) == 3
     assert "cannot build model" in capsys.readouterr().err
+
+
+def test_run_numeric_failure_exits_4(tmp_path, capsys, monkeypatch):
+    build = dhmc.cli.build_model
+
+    def nan_midway(*args):
+        model = build(*args)
+        potential, calls = model.potential, []
+
+        def flaky(theta):
+            calls.append(1)
+            return np.nan if len(calls) == 30 else potential(theta)
+
+        model.potential = flaky
+        return model
+
+    monkeypatch.setattr(dhmc.cli, "build_model", nan_midway)
+    cfg = write_config(tmp_path / "c.yaml", output_dir=str(tmp_path / "out"))
+    assert run_cli("run", "--config", cfg) == 4
+    assert "error: numeric failure: " in capsys.readouterr().err
 
 
 def test_run_jsonl_round_trip(tmp_path):
@@ -461,6 +499,80 @@ def test_plotdata_funcdraws(tmp_path, capsys):
     assert run_cli("plotdata", tmp_path / "g", "--kind", "funcdraws") == 2
     assert "level paths" in capsys.readouterr().err
     assert run_cli("plotdata", tmp_path / "g", "--kind", "sparkline") == 2
+
+
+# ---------------------------------------------------- corrupted run artifacts
+
+
+def _set_report(run, **fields):
+    path = run / "chain_00" / "report.json"
+    report = json.loads(path.read_text())
+    report.update(fields)
+    path.write_text(json.dumps(report))
+
+
+def _non_numeric_samples(run):
+    path = run / "chain_00" / "samples.csv"
+    header = path.read_text().split("\n")[0]
+    path.write_text(header + "\n" + ",".join(["x"] * len(header.split(",")))
+                    + "\n")
+
+
+def _unknown_model(run):
+    path = run / "config.yaml"
+    path.write_text(path.read_text().replace("name: pmf", "name: zigzag"))
+
+
+# (corruption, whether diagnose and compare read it; plotdata always does)
+CORRUPTIONS = {
+    "unknown-model": (_unknown_model, False),
+    "bad-yaml": (lambda run: (run / "config.yaml").write_text("model: [\n"),
+                 False),
+    "non-numeric-samples": (_non_numeric_samples, True),
+    "scalar-eps-range": (lambda run: _set_report(run, eps_range_used=5), True),
+    "negative-mass": (lambda run: _set_report(run, mass_disc=[-1.0]), True),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupted_run_directory_exits_3(tmp_path, capsys, corruption):
+    cfg = write_config(tmp_path / "p.yaml", output_dir=str(tmp_path / "good"),
+                       model={"name": "pmf", "params": {}},
+                       sampler={"kernel": "mwg", "eps_range": [0.4, 1.0],
+                                "n_samples": 100, "n_warmup": 20})
+    assert run_cli("run", "--config", cfg) == 0
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    shutil.copytree(good, bad)
+    corrupt, read_by_all = CORRUPTIONS[corruption]
+    corrupt(bad)
+    capsys.readouterr()
+    verbs = [("plotdata", bad, "--kind", "trajectory", "--steps", 2)]
+    if read_by_all:
+        verbs += [("diagnose", bad, "--batches", 10),
+                  ("compare", good, bad, "--batches", 10,
+                   "--out", tmp_path / "cmp")]
+    for argv in verbs:
+        assert run_cli(*argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "numeric" not in err, argv
+    assert not (bad / "ess.json").exists()
+    assert not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "c.yaml", "--chains", "0"],
+    ["run", "--config", "c.yaml", "--chains", "two"],
+    ["diagnose", "run", "--batches", "0"],
+    ["compare", "a", "b", "--batches", "-5"],
+    ["plotdata", "run", "--kind", "marginal2d", "--bins", "0"],
+    ["plotdata", "run", "--kind", "trajectory", "--steps", "0"],
+    ["plotdata", "run", "--kind", "funcdraws", "--ndraws", "-3"],
+])
+def test_count_options_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- miscellaneous

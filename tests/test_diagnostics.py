@@ -164,6 +164,9 @@ def test_report_chain_length_preconditions():
     with pytest.raises(ContractError, match="need at least 50 draws"):
         min_ess_report(short)
     min_ess_report(short, batches=10)  # fewer batches make it legal
+    for batches in (1, 0, -5):  # the count is at fault, not a constant column
+        with pytest.raises(ContractError, match="need at least 2 batches"):
+            min_ess_report(short, batches=batches)
 
 
 # ----------------------------------------------------------------- summarize

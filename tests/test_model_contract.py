@@ -325,6 +325,15 @@ def test_arch_cp_gradient_where_a_variance_vanishes_is_a_contract_error():
             model.grad_smooth(theta)
 
 
+def test_arch_cp_potential_where_a_variance_is_subnormal_is_silent():
+    model = build_model("arch_cp", {}, None, 0)
+    theta = model.initial_theta(np.random.default_rng(0))
+    theta[0] = theta[1] = -740.0  # the first-segment variance is subnormal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.potential(theta) == np.inf
+
+
 @pytest.mark.parametrize("j, value", [
     pytest.param(2, 40.0, id="p3-rounds-to-1"),
     pytest.param(2, -800.0, id="p3-rounds-to-0"),

@@ -1,11 +1,20 @@
 """Run the pinned identity configs and print one sha256 per chain artifact.
 
 Every config runs 2 chains from seed 11 with 60 warmup and 150 sampling
-iterations and path length 8, through ``dhmc run``.  The output has one line
-per ``samples.csv``, ``trace.csv`` and ``report.json``, in the format of
+iterations and path length 8, through ``dhmc run``.  The output is a header
+line with the python, numpy and scipy versions, then one line per
+``samples.csv``, ``trace.csv`` and ``report.json``, in the format of
 ``sha256sum``, so the lines of two trees can be compared with ``diff``:
 
     python tools/pinned_artifacts.py > after.txt
+
+``--check`` compares the artifacts with the committed baseline
+``pinned_artifacts.txt`` next to this script instead: it names each chain
+whose artifacts moved, and fails without running anything when the versions
+differ from the baseline's header, since other versions may round
+differently.  The baseline is regenerated with
+
+    python tools/pinned_artifacts.py > tools/pinned_artifacts.txt
 
 The package is imported from the ``src`` directory next to this script.
 ``--keep DIR`` leaves the run directories in DIR instead of a temporary
@@ -23,10 +32,15 @@ import os
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "src"))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
 from dhmc.cli import main  # noqa: E402
+
+BASELINE = os.path.join(HERE, "pinned_artifacts.txt")
 
 AR1 = ("ar1", {"dim": 20})
 CONFIGS = (
@@ -73,18 +87,55 @@ def run_all(work: str) -> list:
     return lines
 
 
+def version_header() -> str:
+    return (f"# python {sys.version.split()[0]}, numpy {np.__version__}, "
+            f"scipy {scipy.__version__}")
+
+
+def moved_chains(expected: dict, lines: list) -> dict:
+    """Chain directory -> the artifacts whose digest differs from
+    ``expected`` (relative path -> digest), or that only one side has."""
+    got = {rel: digest for digest, rel in lines}
+    moved = {}
+    for rel in sorted(set(expected) | set(got)):
+        if expected.get(rel) != got.get(rel):
+            chain, art = rel.rsplit("/", 1)
+            moved.setdefault(chain, []).append(art)
+    return moved
+
+
 def cli(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--keep", help="directory for the run outputs")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the committed baseline")
     args = parser.parse_args(argv)
+    if args.check:
+        with open(BASELINE) as fh:
+            header, *body = fh.read().splitlines()
+        if header != version_header():
+            print(f"version mismatch: the baseline was made with "
+                  f"{header[2:]}, this is {version_header()[2:]}")
+            return 1
+        expected = {rel: digest for digest, rel in map(str.split, body)}
     if args.keep:
         os.makedirs(args.keep, exist_ok=True)
         lines = run_all(args.keep)
     else:
         with tempfile.TemporaryDirectory() as work:
             lines = run_all(work)
-    for digest, rel in lines:
-        print(f"{digest}  {rel}")
+    if not args.check:
+        print(version_header())
+        for digest, rel in lines:
+            print(f"{digest}  {rel}")
+        return 0
+    moved = moved_chains(expected, lines)
+    for chain, arts in moved.items():
+        print(f"moved: {chain}: {', '.join(arts)}")
+    if moved:
+        print(f"{len(moved)} chain(s) moved")
+        return 1
+    print(f"all {len(lines)} artifacts match the baseline")
     return 0
 
 
