@@ -17,8 +17,8 @@ Verbs
 
 Exit codes, one rule for every verb: 2 for a configuration or usage error
 (``run`` then writes nothing), 3 for a model, data file or run artifact that
-cannot be built or read (an unknown model too, in a config or in a run
-directory), 4 for a numeric failure.  ``DHMC_MAX_WORKERS`` caps chain-level
+cannot be built, read or written (an unknown model too, in a config or in a
+run directory), 4 for a numeric failure.  ``DHMC_MAX_WORKERS`` caps chain-level
 parallelism; the default of 1 runs chains sequentially in-process (the
 results are identical either way).
 """
@@ -86,6 +86,8 @@ def load_config(path: str) -> dict:
             user = yaml.safe_load(fh) or {}
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {exc.filename}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(user, dict):
@@ -330,12 +332,15 @@ def _load_chain(chain_dir: str):
 
     The store holds the decoded draws and the run's settings and counters
     from ``report.json``; ``raw`` maps each samples-file header to its
-    column, including the ``<name>_emb`` columns of embedded coordinates.
+    column.  A samples file must hold a column per parameter and a
+    ``<name>_emb`` column per coordinate the report lists as embedded.
     A ``samples.csv`` is streamed: only its distinct lines, one per run of
     equal lines, are kept and parsed, then repeated.
     """
     with open(os.path.join(chain_dir, "report.json")) as fh:
         report = json.load(fh)
+    names = report["param_names"]
+    columns = names + [names[i] + "_emb" for i in report["embedded"]]
     csv_path = os.path.join(chain_dir, "samples.csv")
     jsonl_path = os.path.join(chain_dir, "samples.jsonl")
     if os.path.exists(csv_path):
@@ -361,11 +366,13 @@ def _load_chain(chain_dir: str):
             for line in fh:
                 if line.strip():
                     records.append(json.loads(line))
-        header = list(records[0]) if records else list(report["param_names"])
+        header = list(records[0]) if records else columns
         raw = {h: np.array([float(rec[h]) for rec in records]) for h in header}
     else:
         raise FileNotFoundError(f"no samples file in {chain_dir}")
-    names = report["param_names"]
+    missing = [c for c in columns if c not in raw]
+    if missing:
+        raise ValueError(f"{chain_dir}: no samples column {missing}")
     lo, hi = report["eps_range_used"]
     store = SampleStore(
         names=list(names),
@@ -385,7 +392,7 @@ def _load_run(run_dir: str) -> list:
     """``_load_chain`` of every chain directory under ``run_dir``."""
     try:
         return [_load_chain(d) for d in _chain_dirs(run_dir)]
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, LookupError, TypeError, ValueError) as exc:
         raise _Unreadable(f"cannot read run artifacts: {exc}") from None
 
 
@@ -547,7 +554,7 @@ def _plot_funcdraws(args, run_dir: str) -> str:
         raise ConfigError(f"model {model.name!r} has no piecewise level paths")
     store, report, raw = _load_run(run_dir)[0]
     names = report["param_names"]
-    embedded = set(report.get("embedded", []))
+    embedded = set(report["embedded"])
     path = os.path.join(run_dir, "plot_funcdraws.csv")
     with open(path, "w") as fh:
         fh.write("draw,t,a,b\n")
@@ -633,6 +640,8 @@ def main(argv=None) -> int:
         code, message = 2, str(exc)
     except _Unreadable as exc:
         code, message = 3, str(exc)
+    except OSError as exc:  # every read converts its own, so this is a write
+        code, message = 3, f"cannot write run artifacts: {exc}"
     except (DhmcError, ArithmeticError) as exc:
         code, message = 4, f"numeric failure: {exc}"
     print(f"error: {message}", file=sys.stderr)

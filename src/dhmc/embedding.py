@@ -1,7 +1,8 @@
 """Embedding of integer parameters into the real line.
 
-An integer value n is identified with the half-open cell (a_n, a_{n+1}] of a
-strictly increasing knot sequence; cells are right-closed.  A discrete mass
+An integer value n owns the right-closed cell (a_n, a_{n+1}] of a strictly
+increasing knot sequence.  That rule is written once, in ``EmbeddingMap.cell``
+and ``EmbeddingMap.cells``; every model decodes through them.  A discrete mass
 function pi(n) becomes the piecewise-constant density
 
     pi(x) = pi(n) / (a_{n+1} - a_n)   for x in (a_n, a_{n+1}],
@@ -27,13 +28,11 @@ class EmbeddingMap:
     """Strictly increasing knots plus the integer values of the cells.
 
     ``values`` are consecutive integers; ``values[k]`` labels the cell
-    ``(knots[k], knots[k+1]]``.  ``kind`` records how the knots were built
-    (uniform, log or custom) for reporting only.
+    ``(knots[k], knots[k+1]]``.
     """
 
     knots: np.ndarray
     values: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
         knots = np.array(self.knots, dtype=float)
@@ -58,7 +57,7 @@ class EmbeddingMap:
             raise ContractError("empty support")
         values = np.arange(lo, hi + 1)
         knots = np.arange(lo, hi + 2, dtype=float)
-        return cls(knots=knots, values=values, kind="uniform")
+        return cls(knots=knots, values=values)
 
     @classmethod
     def logarithmic(cls, lo: int, hi: int) -> "EmbeddingMap":
@@ -72,7 +71,7 @@ class EmbeddingMap:
         shift = 1 - lo if lo < 1 else 0
         values = np.arange(lo, hi + 1)
         knots = np.log(np.arange(lo, hi + 2, dtype=float) + shift)
-        return cls(knots=knots, values=values, kind="log")
+        return cls(knots=knots, values=values)
 
     @property
     def n_cells(self) -> int:
@@ -86,38 +85,31 @@ class EmbeddingMap:
     def hi(self) -> int:
         return int(self.values[-1])
 
-    def cell_of(self, x: float) -> int:
-        """Index k of the cell containing x, or raise OutOfSupportError."""
+    def cell(self, x: float) -> int | None:
+        """Index k of the cell (knots[k], knots[k+1]] holding x, else None."""
         knots = self.knots
-        if not x > knots[0] or x > knots[-1]:
-            raise OutOfSupportError(
-                f"{x!r} outside the embedded support ({knots[0]}, {knots[-1]}]")
+        if not knots.item(0) < x <= knots.item(-1):
+            return None
         return int(knots.searchsorted(x)) - 1
 
-    def lookup(self, x: float) -> int:
-        """Integer value of the cell containing x (cells are right-closed)."""
-        return int(self.values[self.cell_of(x)])
-
-    def contains(self, x: float) -> bool:
-        return bool(x > self.knots[0]) and bool(x <= self.knots[-1])
-
-    def width(self, n: int) -> float:
-        k = n - self.lo
-        if k < 0 or k >= self.n_cells:
-            raise OutOfSupportError(f"{n} not in [{self.lo}, {self.hi}]")
-        return float(self.knots[k + 1] - self.knots[k])
+    def cells(self, xs) -> np.ndarray | None:
+        """``cell`` of each entry of xs, or None if any is off the support."""
+        xs = np.asarray(xs, dtype=float)
+        knots = self.knots
+        if not np.all((xs > knots[0]) & (xs <= knots[-1])):
+            return None
+        return knots.searchsorted(xs) - 1
 
     def embed_center(self, n: int) -> float:
-        """Midpoint of the cell of n; lookup(embed_center(n)) == n."""
+        """Midpoint of the cell of n, whose ``cell`` is n - lo."""
         k = n - self.lo
         if k < 0 or k >= self.n_cells:
             raise OutOfSupportError(f"{n} not in [{self.lo}, {self.hi}]")
         return float(0.5 * (self.knots[k] + self.knots[k + 1]))
 
     def decode(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorised lookup for an array of embedded values."""
-        xs = np.asarray(xs, dtype=float)
-        if np.any(~((xs > self.knots[0]) & (xs <= self.knots[-1]))):
+        """Integer values of an array of embedded values."""
+        cells = self.cells(xs)
+        if cells is None:
             raise OutOfSupportError("embedded values outside the knot range")
-        cells = np.searchsorted(self.knots, xs, side="left") - 1
         return self.values[cells]

@@ -6,12 +6,13 @@ tau_0 = 1 and tau_{K+1} = T.  Levels are parameterised by log a_0, log b_0
 (standard normal priors) and log-increments delta_k = log(a_k / a_{k-1})
 with Normal(0, (sigma eta_k)^2) priors; eta_k and sigma are half-Cauchy,
 sampled on the log scale with their Jacobians.  The change points tau_k are
-embedded integers, uniform over 1 < tau_1 < ... < tau_K < T.
+embedded integers, uniform over 1 < tau_1 < ... < tau_K < T, that share one
+map, so ``potential`` decodes them in one ``EmbeddingMap.cells`` call.
 
 ``potential_diff`` covers the change points, its ``diff_idx``, at a cost of
 O(|Delta tau|): only the likelihood terms of the times that switch between
 the two segments next to tau_k change, and it decodes just tau_k and its
-two neighbours.
+two neighbours, one ``EmbeddingMap.cell`` call each.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = ["ArchChangePointTarget", "arch_neg_log_likelihood",
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_HALF_PI = math.log(math.pi / 2.0)
+_TINY = np.finfo(float).tiny  # the least normal float
 
 
 def arch_neg_log_likelihood(y, a_t, b_t) -> float:
@@ -82,7 +84,7 @@ class ArchChangePointTarget(TargetModel):
         self._n_smooth = 4 * K + 4
         self.smooth_idx = np.arange(self._n_smooth, dtype=np.intp)
         self.disc_idx = np.arange(self._n_smooth, self.dim, dtype=np.intp)
-        self.tau_map = EmbeddingMap.uniform(2, self.T - 1) if K else None
+        self.tau_map = EmbeddingMap.uniform(2, self.T - 1)
         self.embeddings = {int(j): self.tau_map for j in self.disc_idx}
         self._ylag2 = y[:-1] ** 2
         self._ysq = y[1:] ** 2
@@ -116,14 +118,10 @@ class ArchChangePointTarget(TargetModel):
         return la0, lb0, da, db, lea, leb, lsa, lsb, taut
 
     def _decode_tau(self, taut):
-        taus = np.empty(self.k_max, dtype=np.int64)
-        for k in range(self.k_max):
-            if not self.tau_map.contains(taut[k]):
-                return None
-            taus[k] = self.tau_map.lookup(taut[k])
-        if np.any(np.diff(taus) <= 0):
+        cells = self.tau_map.cells(taut)
+        if cells is None or np.any(np.diff(cells) <= 0):
             return None
-        return taus
+        return self.tau_map.values[cells]
 
     def _levels(self, la0, lb0, da, db, taut):
         """Log levels ``(la, lb)`` of the K+1 segments and the 0-based
@@ -139,7 +137,7 @@ class ArchChangePointTarget(TargetModel):
     @staticmethod
     def _jump_scales(lsa, lsb, lea, leb):
         """``(scale, scale ** 2)`` of the a and the b jumps, or None where the
-        potential is +inf: a scale is infinite or its square rounds to 0."""
+        potential is +inf: a scale is infinite or its square is subnormal."""
         try:
             sa, sb = math.exp(lsa), math.exp(lsb)
         except OverflowError:  # truncates a tail of mass below e^-709
@@ -147,9 +145,9 @@ class ArchChangePointTarget(TargetModel):
         with np.errstate(over="ignore", invalid="ignore"):
             scale_a, scale_b = sa * np.exp(lea), sb * np.exp(leb)
             va, vb = scale_a ** 2, scale_b ** 2
-            if not ((va > 0.0) & (scale_a < math.inf)
-                    & (vb > 0.0) & (scale_b < math.inf)).all():
-                return None  # prior tails below e^-360
+            if not ((va >= _TINY) & (scale_a < math.inf)
+                    & (vb >= _TINY) & (scale_b < math.inf)).all():
+                return None  # a scale below e^-354 is a prior tail
         return (scale_a, va), (scale_b, vb)
 
     def potential(self, theta):
@@ -189,26 +187,27 @@ class ArchChangePointTarget(TargetModel):
         k = j - self._n_smooth
         if not 0 <= k < self.k_max:
             raise ContractError(f"coordinate {j} is outside diff_idx")
-        tau_map = self.tau_map
-        if not tau_map.contains(value):
-            return float("inf")
-        old = tau_map.lookup(theta[j])
-        new = tau_map.lookup(value)
+        cell = self.tau_map.cell  # cell c holds tau = c + 2
+        new = cell(value)
+        if new is None:
+            return math.inf
+        old = cell(theta.item(j))
         if new == old:
             return 0.0
-        left = tau_map.lookup(theta[j - 1]) if k > 0 else 1
-        right = tau_map.lookup(theta[j + 1]) if k < self.k_max - 1 else self.T
-        if not left < new < right:
-            return float("inf")
-        # The times t in (lo, hi] switch between the 0-based segments k and
-        # k+1 of ``_levels``: into k when the change point moves up, into
-        # k+1 when it moves down.  No other likelihood or prior term moves.
         K = self.k_max
+        left = cell(theta.item(j - 1)) if k > 0 else -1  # tau_0 = 1
+        right = cell(theta.item(j + 1)) if k < K - 1 else self.T - 2
+        if not left < new < right:
+            return math.inf
+        # Index i of the per-time arrays holds t = i + 2, so the times of the
+        # cells in (lo, hi] switch between the 0-based segments k and k+1 of
+        # ``_levels``: into k when the change point moves up, into k+1 when
+        # it moves down.  No other likelihood or prior term moves.
         la = theta[0] + theta[2:2 + k].sum()
         lb = theta[1] + theta[2 + K:2 + K + k].sum()
         lo, hi = min(old, new), max(old, new)
-        ylag2 = self._ylag2[lo - 1:hi - 1]
-        ysq = self._ysq[lo - 1:hi - 1]
+        ylag2 = self._ylag2[lo + 1:hi + 1]
+        ysq = self._ysq[lo + 1:hi + 1]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             a_k, a_next = np.exp((la, la + theta[2 + k]))
             b_k, b_next = np.exp((lb, lb + theta[2 + K + k]))
@@ -284,15 +283,14 @@ class ArchChangePointTarget(TargetModel):
         theta[2 + 4 * K] = math.log(0.5)
         theta[3 + 4 * K] = math.log(0.5)
         theta[:self._n_smooth] += 0.05 * rng.standard_normal(self._n_smooth)
-        if K:
-            lo, hi = 2, self.T - 1
-            taus = np.linspace(lo, hi, K + 2)[1:-1]
-            taus = np.unique(np.round(taus).astype(int))
-            while len(taus) < K:
-                extras = np.setdiff1d(np.arange(lo, hi + 1), taus)
-                taus = np.sort(np.append(taus, extras[0]))
-            for k in range(K):
-                theta[self._n_smooth + k] = self.tau_map.embed_center(int(taus[k]))
+        lo, hi = 2, self.T - 1
+        taus = np.linspace(lo, hi, K + 2)[1:-1]
+        taus = np.unique(np.round(taus).astype(int))
+        while len(taus) < K:
+            extras = np.setdiff1d(np.arange(lo, hi + 1), taus)
+            taus = np.sort(np.append(taus, extras[0]))
+        for k in range(K):
+            theta[self._n_smooth + k] = self.tau_map.embed_center(int(taus[k]))
         return theta
 
 

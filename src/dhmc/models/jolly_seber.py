@@ -13,9 +13,11 @@ seen again.  The prior on the U chain is the floored Normal
 U_{i+1} | U_i ~ floor(N(U_i - u_i, sigma_b^2 + phi_i(1 - phi_i))), evaluated
 as the exact Normal interval mass on [n, n+1), plus pi(U_1) ~ 1/U_1.
 
-``potential_diff`` covers the embedded U coordinates, its ``diff_idx``, in
-O(1): it decodes only the moved count and its two neighbours in the chain,
-the only other counts its terms read, and runs on Python floats.
+Each U_i has its own map, so it is decoded by one ``EmbeddingMap.cell``
+call.  ``potential_diff`` covers the embedded U coordinates, its
+``diff_idx``, in O(1): it decodes only the moved count and its two
+neighbours in the chain, the only other counts its terms read, and runs on
+Python floats.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ class JollySeberTarget(TargetModel):
                 raise ContractError(f"unknown embedding kind {kind!r}")
             self.emaps.append(emap)
         self.embeddings = {int(j): m for j, m in zip(self.disc_idx, self.emaps)}
-        # per-occasion ints for the float arithmetic of potential_diff
+        # per-occasion ints: U_{i+1} is _u_lo[i] plus its cell
         self._u_obs = stats.u.tolist()
         self._u_lo = [emap.lo for emap in self.emaps]
 
@@ -188,14 +190,11 @@ class JollySeberTarget(TargetModel):
         return theta[:T], theta[T:2 * T - 1], theta[2 * T - 1:]
 
     def _decode_u(self, ut):
-        cells = np.empty(self.T, dtype=np.intp)
-        for i, (x, emap) in enumerate(zip(ut, self.emaps)):
-            if not emap.contains(x):
-                return None, None
-            cells[i] = emap.cell_of(x)
-        uvals = np.array([m.values[c] for m, c in zip(self.emaps, cells)],
-                         dtype=float)
-        return cells, uvals
+        """Cells and counts of U, or (None, None) off the support."""
+        cells = [emap.cell(x) for emap, x in zip(self.emaps, ut.tolist())]
+        if None in cells:
+            return None, None
+        return cells, np.add(self._u_lo, cells, dtype=float)
 
     def potential(self, theta):
         lp, lphi, ut = self._split(theta)
@@ -229,7 +228,7 @@ class JollySeberTarget(TargetModel):
         # Uniform priors on p, phi via the log-odds transform Jacobian.
         pot -= float(np.sum(log_p + log_1mp) + np.sum(log_phi - np.logaddexp(0.0, lphi)))
         # Embedding cell widths.
-        for i, (emap, cell) in enumerate(zip(self.emaps, cells)):
+        for emap, cell in zip(self.emaps, cells):
             pot += math.log(emap.knots[cell + 1] - emap.knots[cell])
         return float(pot)
 
@@ -294,19 +293,17 @@ class JollySeberTarget(TargetModel):
 
     def _u_cell(self, theta, i):
         """Cell of the embedded U_{i+1} (0-based i) of an in-support theta."""
-        return int(self.emaps[i].knots.searchsorted(
-            theta.item(2 * self.T - 1 + i))) - 1
+        return self.emaps[i].cell(theta.item(2 * self.T - 1 + i))
 
     def potential_diff(self, theta, j, value):
         T = self.T
         i = j - (2 * T - 1)
         if not 0 <= i < T:
             raise ContractError(f"coordinate {j} is outside diff_idx")
-        knots = self.emaps[i].knots
-        if not knots.item(0) < value <= knots.item(-1):
+        cell1 = self.emaps[i].cell(value)
+        if cell1 is None:
             return math.inf
         cell0 = self._u_cell(theta, i)
-        cell1 = int(knots.searchsorted(value)) - 1
         if cell0 == cell1:
             return 0.0
         # The terms that read U_{i+1}, new minus old: its first-capture
@@ -316,6 +313,7 @@ class JollySeberTarget(TargetModel):
         U0 = float(self._u_lo[i] + cell0)
         U1 = float(self._u_lo[i] + cell1)
         lgamma = math.lgamma
+        knots = self.emaps[i].knots
         du = (lgamma(U0 + 1.0) - lgamma(U0 - u + 1.0)
               - lgamma(U1 + 1.0) + lgamma(U1 - u + 1.0)
               + (U1 - U0) * _softplus(theta.item(i))  # -log(1 - p_{i+1})

@@ -94,13 +94,9 @@ class GridTarget(TargetModel):
             return cls([emap], np.log(probs), name=name)
 
     def _cells(self, theta):
-        cells = []
-        for i, m in enumerate(self.axis_maps):
-            x = theta.item(i)
-            if not m.contains(x):
-                return None
-            cells.append(m.cell_of(x))
-        return tuple(cells)
+        cells = tuple(m.cell(x)
+                      for m, x in zip(self.axis_maps, theta.tolist()))
+        return None if None in cells else cells
 
     def potential(self, theta):
         cells = self._cells(theta)
@@ -109,15 +105,14 @@ class GridTarget(TargetModel):
         return float(self._table[cells])
 
     def potential_diff(self, theta, j, value):
-        m = self.axis_maps[j]
-        if not m.contains(value):
+        new = self.axis_maps[j].cell(value)
+        if new is None:
             return float("inf")
         cells = self._cells(theta)
         if cells is None:
             raise ContractError("potential_diff called off support")
-        new_cells = list(cells)
-        new_cells[j] = m.cell_of(value)
-        return float(self._table[tuple(new_cells)] - self._table[cells])
+        moved = cells[:j] + (new,) + cells[j + 1:]
+        return float(self._table[moved] - self._table[cells])
 
     def exact_pmf(self) -> np.ndarray:
         """Normalised cell probabilities; the integral of the embedded density."""

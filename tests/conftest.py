@@ -126,21 +126,21 @@ class CoupledMix(TargetModel):
         return 1.0 + self.gamma * n
 
     def potential(self, theta):
-        if not self.emap.contains(theta[1]):
+        k = self.emap.cell(theta[1])
+        if k is None:
             return float("inf")
-        n = self.emap.lookup(theta[1])
-        k = self.emap.cell_of(theta[1])
+        n = self.emap.values[k]
         return float(0.5 * theta[0] ** 2 * self._stiff(n) - self._log_pmf[k])
 
     def grad_smooth(self, theta):
-        n = self.emap.lookup(theta[1])
+        n = self.emap.values[self.emap.cell(theta[1])]
         return np.array([theta[0] * self._stiff(n)])
 
     def potential_diff(self, theta, j, value):
-        if not self.emap.contains(value):
+        k1 = self.emap.cell(value)
+        if k1 is None:
             return float("inf")
-        k0 = self.emap.cell_of(theta[1])
-        k1 = self.emap.cell_of(value)
+        k0 = self.emap.cell(theta[1])
         if k0 == k1:
             return 0.0
         dn = self.emap.values[k1] - self.emap.values[k0]

@@ -153,6 +153,15 @@ def test_run_rejects_an_empty_output_dir(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_unwritable_output_dir_exits_3(tmp_path, capsys):
+    # a path below a regular file: permission bits do not stop root
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path / "c.yaml")
+    out = tmp_path / "file" / "sub"
+    assert run_cli("run", "--config", cfg, "--out", out) == 3
+    assert "error: cannot write run artifacts: " in capsys.readouterr().err
+
+
 def test_run_rejects_a_non_integer_worker_count(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path / "c.yaml", output_dir=str(tmp_path / "out"))
     monkeypatch.setenv("DHMC_MAX_WORKERS", "two")
@@ -518,6 +527,14 @@ def _non_numeric_samples(run):
                     + "\n")
 
 
+def _no_emb_column(run):
+    path = run / "chain_00" / "samples.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [i for i, h in enumerate(rows[0]) if not h.endswith("_emb")]
+    assert len(keep) < len(rows[0])
+    path.write_text("".join(",".join(r[i] for i in keep) + "\n" for r in rows))
+
+
 def _unknown_model(run):
     path = run / "config.yaml"
     path.write_text(path.read_text().replace("name: pmf", "name: zigzag"))
@@ -531,6 +548,7 @@ CORRUPTIONS = {
     "non-numeric-samples": (_non_numeric_samples, True),
     "scalar-eps-range": (lambda run: _set_report(run, eps_range_used=5), True),
     "negative-mass": (lambda run: _set_report(run, mass_disc=[-1.0]), True),
+    "no-emb-column": (_no_emb_column, True),
 }
 
 

@@ -8,30 +8,35 @@ from dhmc import ContractError, EmbeddingMap, OutOfSupportError
 from dhmc.models.simple import GridTarget
 
 
+def value_at(emap, x):
+    """The integer whose cell holds x."""
+    return emap.values[emap.cell(x)]
+
+
 def test_uniform_lookup_interior():
     emap = EmbeddingMap.uniform(1, 9)
-    assert emap.lookup(2.5) == 2
+    assert emap.cell(2.5) == 1
+    assert value_at(emap, 2.5) == 2
 
 
 def test_lookup_right_endpoint_belongs_to_cell():
     emap = EmbeddingMap.uniform(1, 9)
     # cells are right-closed: (2, 3] carries the value 2
-    assert emap.lookup(3.0) == 2
-    assert emap.lookup(10.0) == 9
+    assert value_at(emap, 3.0) == 2
+    assert value_at(emap, 10.0) == 9
 
 
 def test_log_lookup_just_past_knot():
     emap = EmbeddingMap.logarithmic(1, 10)
-    assert emap.lookup(np.log(7.0) + 1e-9) == 7
+    assert value_at(emap, np.log(7.0) + 1e-9) == 7
 
 
 def test_left_edge_is_open():
     emap = EmbeddingMap.uniform(1, 3)
-    assert not emap.contains(1.0)
+    assert emap.cell(1.0) is None
+    assert emap.cell(4.0 + 1e-12) is None
     with pytest.raises(OutOfSupportError):
-        emap.lookup(1.0)
-    with pytest.raises(OutOfSupportError):
-        emap.lookup(4.0 + 1e-12)
+        emap.decode([1.0])
 
 
 def test_embed_center_values():
@@ -46,8 +51,6 @@ def test_embed_center_out_of_range():
         emap.embed_center(10)
     with pytest.raises(OutOfSupportError):
         emap.embed_center(0)
-    with pytest.raises(OutOfSupportError):
-        emap.width(10)
 
 
 @pytest.mark.parametrize("emap", [
@@ -59,27 +62,43 @@ def test_embed_center_out_of_range():
 ])
 def test_round_trip_all_values(emap):
     for n in range(emap.lo, emap.hi + 1):
-        assert emap.lookup(emap.embed_center(n)) == n
-        assert emap.width(n) == pytest.approx(
-            emap.knots[n - emap.lo + 1] - emap.knots[n - emap.lo])
+        assert emap.cell(emap.embed_center(n)) == n - emap.lo
+        assert value_at(emap, emap.embed_center(n)) == n
 
 
 def test_log_knots_finite_for_nonpositive_lo():
     emap = EmbeddingMap.logarithmic(0, 5)
     assert np.all(np.isfinite(emap.knots))
     assert emap.lo == 0 and emap.hi == 5
-    assert emap.lookup(0.5 * np.log(2.0)) == 0
+    assert value_at(emap, 0.5 * np.log(2.0)) == 0
 
 
 def test_partition_every_point_claimed_once():
-    emap = EmbeddingMap.logarithmic(1, 40)
+    # x belongs to the one cell k with knots[k] < x <= knots[k + 1], or to
+    # none off the support; ``cells`` and ``decode`` agree with ``cell``
     rng = np.random.default_rng(3)
-    lo, hi = emap.knots[0], emap.knots[-1]
-    xs = rng.uniform(lo, hi, size=10_000)
-    xs = xs[xs > lo]
-    for x in xs:
-        k = emap.cell_of(x)
-        assert emap.knots[k] < x <= emap.knots[k + 1]
+    for emap in (EmbeddingMap.logarithmic(1, 40), EmbeddingMap.uniform(-2, 5)):
+        knots = emap.knots
+        xs = np.concatenate([
+            rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, size=3000),
+            knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+            [np.nan, np.inf, -np.inf]])
+        ks = [emap.cell(x) for x in xs]
+        for x, k in zip(xs, ks):
+            owners = np.flatnonzero((knots[:-1] < x) & (x <= knots[1:]))
+            assert owners.tolist() == ([] if k is None else [k]), x
+            one = emap.cells([x])
+            assert one is None if k is None else one.tolist() == [k], x
+        on = np.array([k is not None for k in ks])
+        assert 0 < on.sum() < len(xs)
+        cells = emap.cells(xs[on])
+        assert cells.tolist() == [k for k in ks if k is not None]
+        np.testing.assert_array_equal(emap.decode(xs[on]), emap.values[cells])
+        assert emap.cells(xs) is None
+        with pytest.raises(OutOfSupportError):
+            emap.decode(xs)
+        assert emap.cells(np.array([])).shape == (0,)
+        assert emap.decode(np.array([])).shape == (0,)
 
 
 def test_density_integrates_to_total_mass():
@@ -102,7 +121,7 @@ def test_measure_preservation_within_cells():
     for n in range(emap.lo, emap.hi + 1):
         k = n - emap.lo
         for x in (emap.knots[k] + 1e-9, emap.embed_center(n), emap.knots[k + 1]):
-            assert emap.lookup(x) == n
+            assert value_at(emap, x) == n
 
 
 def test_log_density_values():
@@ -153,14 +172,8 @@ def test_construction_validation():
 def test_single_cell_support():
     emap = EmbeddingMap.uniform(1, 1)
     assert emap.n_cells == 1
-    assert emap.lookup(1.4) == 1
-    assert not emap.contains(2.5)
-
-
-def test_kind_labels():
-    assert EmbeddingMap.uniform(1, 2).kind == "uniform"
-    assert EmbeddingMap.logarithmic(1, 2).kind == "log"
-    assert EmbeddingMap(knots=[0.0, 2.0], values=[1]).kind == "custom"
+    assert value_at(emap, 1.4) == 1
+    assert emap.cell(2.5) is None
 
 
 def test_maps_are_frozen():

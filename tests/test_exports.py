@@ -1,5 +1,6 @@
-"""Every name ``dhmc`` exports is read by the program itself, and every
-module-level private name is read by its own module.
+"""Every name ``dhmc`` exports is read by the program itself, every
+module-level private name is read by its own module, and only
+``EmbeddingMap`` applies the cell rule to its knots.
 
 The package sources (without ``dhmc/__init__.py``) and the benchmark under
 ``perfbench/`` are parsed; a name counts as used when it is loaded there as a
@@ -67,6 +68,35 @@ def test_every_private_name_is_read_by_its_module():
         dead += [f"{path.relative_to(ROOT)}:{name}"
                  for name in sorted(_private_definitions(tree) - loaded)]
     assert dead == [], f"module-level private names nothing reads: {dead}"
+
+
+def _mentions_knots(node):
+    return any(isinstance(n, ast.Name) and n.id == "knots"
+               or isinstance(n, ast.Attribute) and n.attr == "knots"
+               for n in ast.walk(node))
+
+
+def test_only_the_embedding_map_applies_the_cell_rule():
+    # ``EmbeddingMap.cell`` and ``cells`` say which cell holds a value; other
+    # code may read a knot for a width or a centre, but neither searches the
+    # knots nor compares a value with them.  ``np.searchsorted(taus, ...)``
+    # in arch_cp assigns times to segments and reads no knots.
+    found = []
+    for path in sorted((ROOT / "src" / "dhmc").rglob("*.py")):
+        if path.name == "embedding.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "searchsorted"):
+                operands = [node.func.value, *node.args[:1]]
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            else:
+                continue
+            if any(_mentions_knots(x) for x in operands):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == [], f"cell lookups outside EmbeddingMap: {found}"
 
 
 # Imports the package and the command line, builds three models that need no

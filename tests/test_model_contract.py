@@ -423,6 +423,8 @@ def test_jolly_seber_never_seen_again_term_where_chi_rounds_to_zero():
                  id="da1-1e200-log_eta_a1-400-False"),
     pytest.param({"da1": -1e200, "log_eta_a1": 400.0}, True,
                  id="da1--1e200-log_eta_a1-400-True"),
+    pytest.param({"da1": 1e-10, "log_eta_a1": -368.0}, False,
+                 id="da1-1e-10-log_eta_a1--368-False"),
 ])
 def test_arch_cp_overflowing_scale_squares_are_silent(levels, finite):
     # sigma_a = e^700 stays below math.exp's limit; at log_eta = 5 only the
@@ -432,7 +434,9 @@ def test_arch_cp_overflowing_scale_squares_are_silent(levels, finite):
     # e^-800 rounds to 0: log 0 + delta^2 / 0 would be NaN, not +inf.  A jump
     # of 1e200 over a scale near e^400 squares both past the float range:
     # delta^2 / scale^2 would be inf / inf, where (delta / scale)^2 is about
-    # 1e53.  Upward the level overflows, so the potential is +inf.
+    # 1e53.  Upward the level overflows, so the potential is +inf.  A jump
+    # scale near e^-368 squares to a subnormal, where da / scale^2 would
+    # overflow in the gradient: the potential is +inf there too.
     model = small_arch_cp()
     theta = model.initial_theta(np.random.default_rng(1))
     for j, name in enumerate(model.param_names):

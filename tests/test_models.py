@@ -753,26 +753,19 @@ def _fuzz_cases():
         return True
 
     def grid_ok(m, t):
-        for i, em in enumerate(m.axis_maps):
-            if not em.contains(t[i]):
-                return False
-        cells = tuple(em.cell_of(t[i]) for i, em in enumerate(m.axis_maps))
-        return m.exact_pmf()[cells] > 0
+        cells = tuple(em.cell(t[i]) for i, em in enumerate(m.axis_maps))
+        return None not in cells and m.exact_pmf()[cells] > 0
 
     def binom_ok(m, t):
-        return m.emap.contains(t[0])
+        return m.emap.cell(t[0]) is not None
 
     def js_ok(m, t):
-        return all(em.contains(t[5 + i]) for i, em in enumerate(m.emaps))
+        return all(em.cell(t[5 + i]) is not None
+                   for i, em in enumerate(m.emaps))
 
     def arch_ok(m, t):
-        cells = []
-        for k in range(m.k_max):
-            v = t[m._n_smooth + k]
-            if not m.tau_map.contains(v):
-                return False
-            cells.append(m.tau_map.lookup(v))
-        return bool(np.all(np.diff(cells) > 0))
+        cells = m.tau_map.cells(t[m._n_smooth:])
+        return cells is not None and bool(np.all(np.diff(cells) > 0))
 
     return [
         (GaussianTarget(dim=3, mean=0.5, sd=[1.0, 2.0, 0.5]), always),
