@@ -29,8 +29,9 @@ class ModelError(DhmcError, ArithmeticError):
     """A target model returned an invalid value (NaN potential, NaN gradient)."""
 
 
-class OutOfSupportError(DhmcError, ValueError):
-    """An embedded value fell outside the knot range of an embedding map."""
+class OutOfSupportError(ContractError):
+    """A value off the support: an embedded value outside the knot range of
+    an embedding map, or a gradient asked where the potential is ``+inf``."""
 
 
 class ConfigError(DhmcError, ValueError):
@@ -158,7 +159,10 @@ class TargetModel:
     - ``potential(theta) -> float``: minus log density, finite on the support
       and ``+inf`` off it, never NaN,
     - ``grad_smooth(theta) -> array``: gradient of the potential over the
-      smooth block, only queried where the potential is finite,
+      smooth block, finite wherever the potential is finite.  Wherever the
+      potential is ``+inf`` it raises ``OutOfSupportError``, without a
+      warning: the split step calls no ``potential`` between its steps and
+      learns from that error that a step left the support,
     - optionally ``potential_diff(theta, j, value) -> float``: the change in
       potential when coordinate j moves to ``value``, cheaper than two full
       potential calls and equal to them up to rounding.  It is only called

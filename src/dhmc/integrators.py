@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, MassSpec, ModelError, PhaseState, TargetModel
+from .core import (ContractError, MassSpec, ModelError, OutOfSupportError,
+                   PhaseState, TargetModel)
 
 __all__ = ["StepOutcome", "SweepOrder", "coord_step", "coord_sweep",
            "dhmc_step"]
@@ -85,15 +86,19 @@ def _sweep_inplace(model, theta, p, order, eps, tables):
     ``theta`` and ``p`` are float arrays, ``order`` an integer array and
     ``tables`` the lists of ``_sweep_tables``.  A covered coordinate costs
     one ``potential_diff`` call, any other two ``potential`` calls, counted
-    2.  The sweep runs on Python scalars: ``p`` and ``order`` are read as
-    lists once, ``theta`` is read with ``theta.item(j)`` and written on
-    every move (the next update reads it), and ``p`` is written back once at
-    the end, so a sweep that raises leaves ``p`` as it was.
+    2: at theta and at the proposal.  The one at theta is carried from the
+    previous uncovered update when no covered update moved in between, and
+    then costs nothing.  The sweep runs on Python scalars: ``p`` and
+    ``order`` are read as lists once, ``theta`` is read with
+    ``theta.item(j)`` and written on every move (the next update reads it),
+    and ``p`` is written back once at the end, so a sweep that raises leaves
+    ``p`` as it was.
 
     Returns (flips, potential_evals).  Precondition: the coordinates in
     ``order`` lie on the support.  The smooth block may have drifted off it;
     every diff is then ``+inf`` or finite, so such a sweep bounces or moves
-    but never raises, and the caller's closing potential rejects it.
+    but never raises, and the step's closing gradient or the trajectory's
+    closing potential rejects it.
     """
     flips = 0
     evals = 0
@@ -103,6 +108,8 @@ def _sweep_inplace(model, theta, p, order, eps, tables):
     pl = p.tolist()
     m_l, minv_l, covered = tables
     item = theta.item
+    u0 = None
+    carried = -1  # never ``evals - flips``, which is at least 0
     for j in order.tolist():
         pj = pl[j]
         s = 1.0 if pj >= 0 else -1.0
@@ -113,13 +120,23 @@ def _sweep_inplace(model, theta, p, order, eps, tables):
             du = diff(theta, j, new)
             evals += 1
         else:
-            u0 = pot(theta)
+            # A covered update adds one evaluation, and a flip when it
+            # bounces, so ``evals - flips`` changes only at a covered move:
+            # while it equals ``carried``, ``u0`` is the potential at theta.
+            if evals - flips != carried:
+                u0 = pot(theta)
+                evals += 1
             theta[j] = new
             u1 = pot(theta)
             theta[j] = old
-            evals += 2
+            evals += 1
             # off the support every update bounces, as a +inf diff would
             du = np.inf if u0 == np.inf else u1 - u0
+            if abs(pj) * minv > du:  # the move below
+                u0 = u1
+                carried = evals - flips
+            else:  # the bounce below adds a flip
+                carried = evals - flips - 1
         if du != du:
             raise ModelError(f"{model.name} returned NaN potential difference")
         if abs(pj) * minv > du:
@@ -151,16 +168,17 @@ def _dhmc_step_inplace(model, theta, p, smooth, mass, eps, order, tables, g):
     """One split-integrator step, mutating theta and p.
 
     ``g`` is the smooth-block gradient at the entry point (None without a
-    smooth block).  Returns (flips, evals, diverged, u_end, g_end): the
-    potential and the smooth-block gradient at the final position, which the
-    next step takes as its ``g`` and the acceptance test uses.  Both are None
-    without a smooth block or after a divergence.  The step's one potential
-    call is at its end: the sweep runs wherever the first half drift lands,
-    and a step that ends off the support diverges.
+    smooth block).  Returns (flips, evals, diverged, g_end): the smooth-block
+    gradient at the final position, which the next step takes as its ``g``;
+    None without a smooth block or after a divergence.  The step calls no
+    ``potential``: the sweep runs wherever the first half drift lands, and a
+    step that ends off the support diverges, which ``grad_smooth`` signals
+    with ``OutOfSupportError`` (that call is not counted).  The caller
+    evaluates the potential once, after the last step.
     """
     if not len(smooth):
         flips, evals = _sweep_inplace(model, theta, p, order, eps, tables)
-        return flips, evals, False, None, None
+        return flips, evals, False, None
     half = 0.5 * eps
     p[smooth] -= half * g
     if len(order):
@@ -170,14 +188,12 @@ def _dhmc_step_inplace(model, theta, p, smooth, mass, eps, order, tables, g):
     else:
         flips = evals = 0
         theta[smooth] += eps * mass.smooth_velocity(p[smooth])
-    u_end = _potential_checked(model, theta)
-    evals += 1
-    if u_end == np.inf:
-        return flips, evals, True, None, None
-    g_end = _grad_checked(model, theta)
-    evals += 1
+    try:
+        g_end = _grad_checked(model, theta)
+    except OutOfSupportError:
+        return flips, evals, True, None
     p[smooth] -= half * g_end
-    return flips, evals, False, u_end, g_end
+    return flips, evals + 1, False, g_end
 
 
 def _check_step_args(model, state: PhaseState, mass: MassSpec, eps: float,
@@ -237,7 +253,9 @@ def dhmc_step(model: TargetModel, state: PhaseState, eps: float, mass: MassSpec,
     empty smooth block it is exactly ``coord_sweep``.  Precondition: the
     discontinuous block lies on the support.  The sweep runs wherever the
     first half drift lands, even off the support; a step that ends off the
-    support marks the outcome divergent and keeps the start state.
+    support marks the outcome divergent and keeps the start state.  As in a
+    trajectory, the one ``potential`` call is at the end, after a closing
+    gradient that did not already find the end off the support.
     """
     _check_step_args(model, state, mass, eps, order.perm)
     theta = state.theta.copy()
@@ -245,10 +263,13 @@ def dhmc_step(model: TargetModel, state: PhaseState, eps: float, mass: MassSpec,
     smooth = state.smooth_idx
     tables = _sweep_tables(model, mass, state.disc_idx, state.dim)
     g = _grad_checked(model, theta) if len(smooth) else None
-    flips, evals, diverged, _, _ = _dhmc_step_inplace(
+    flips, evals, diverged, _ = _dhmc_step_inplace(
         model, theta, p, smooth, mass, eps, order.perm, tables, g)
     if g is not None:
         evals += 1  # the entry gradient
+        if not diverged:
+            diverged = _potential_checked(model, theta) == np.inf
+            evals += 1
     if diverged:
         return StepOutcome(state=state, flips=flips, potential_evals=evals,
                            diverged=True)

@@ -23,7 +23,7 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from ..core import ContractError, TargetModel
+from ..core import ContractError, OutOfSupportError, TargetModel
 from ..embedding import EmbeddingMap
 
 __all__ = ["ArchChangePointTarget", "arch_neg_log_likelihood",
@@ -32,6 +32,7 @@ __all__ = ["ArchChangePointTarget", "arch_neg_log_likelihood",
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_HALF_PI = math.log(math.pi / 2.0)
 _TINY = np.finfo(float).tiny  # the least normal float
+_HUGE = np.finfo(float).max
 
 
 def arch_neg_log_likelihood(y, a_t, b_t) -> float:
@@ -48,6 +49,16 @@ def arch_neg_log_likelihood(y, a_t, b_t) -> float:
     if np.any(sigma2 <= 0):
         return float("inf")
     return float(0.5 * np.sum(np.log(sigma2) + _LOG_2PI + y[1:] ** 2 / sigma2))
+
+
+def _squares_above(x, floor):
+    """``x ** 2``, or None where the potential is +inf: an entry of ``x`` is
+    infinite or NaN, or its square is below ``floor``, at least the least
+    normal float, where a term over the square would overflow.  The one
+    support rule for the segment variances and the jump scales."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = x ** 2
+        return x2 if ((x2 >= floor) & (x < math.inf)).all() else None
 
 
 def _scaled_squares(delta, scale, scale2):
@@ -88,6 +99,11 @@ class ArchChangePointTarget(TargetModel):
         self.embeddings = {int(j): self.tau_map for j in self.disc_idx}
         self._ylag2 = y[:-1] ** 2
         self._ysq = y[1:] ** 2
+        # Below this squared variance the gradient's y_t^2 / sigma_t^4
+        # terms, weighted by y_{t-1}^2 and summed over up to T - 1 times,
+        # could overflow: the support ends there (``_squares_above``).
+        self._var2_floor = max(_TINY, 4.0 * len(self._ysq) * self._ysq.max()
+                               * max(1.0, self._ylag2.max()) / _HUGE)
         self._t_grid = np.arange(2, self.T + 1)
 
     @property
@@ -137,33 +153,40 @@ class ArchChangePointTarget(TargetModel):
     @staticmethod
     def _jump_scales(lsa, lsb, lea, leb):
         """``(scale, scale ** 2)`` of the a and the b jumps, or None where the
-        potential is +inf: a scale is infinite or its square is subnormal."""
+        potential is +inf (``_squares_above`` the least normal float)."""
         try:
             sa, sb = math.exp(lsa), math.exp(lsb)
         except OverflowError:  # truncates a tail of mass below e^-709
             return None
         with np.errstate(over="ignore", invalid="ignore"):
             scale_a, scale_b = sa * np.exp(lea), sb * np.exp(leb)
-            va, vb = scale_a ** 2, scale_b ** 2
-            if not ((va >= _TINY) & (scale_a < math.inf)
-                    & (vb >= _TINY) & (scale_b < math.inf)).all():
-                return None  # a scale below e^-354 is a prior tail
+        # a scale below e^-354 is a prior tail
+        va, vb = _squares_above(scale_a, _TINY), _squares_above(scale_b, _TINY)
+        if va is None or vb is None:
+            return None
         return (scale_a, va), (scale_b, vb)
+
+    def _variances(self, la, lb, seg):
+        """``(a, b, sigma2, sigma2 ** 2)``: the levels and the variance of
+        each t in 2..T with its square, or None where the potential is +inf
+        (``_squares_above`` the variance floor): a level or a variance
+        overflows, or a variance is below the floor's square root."""
+        with np.errstate(over="ignore"):
+            a, b = np.exp(la), np.exp(lb)
+            sigma2 = a[seg] + b[seg] * self._ylag2
+        var2 = _squares_above(sigma2, self._var2_floor)
+        return None if var2 is None else (a, b, sigma2, var2)
 
     def potential(self, theta):
         la0, lb0, da, db, lea, leb, lsa, lsb, taut = self._split(theta)
         levels = self._levels(la0, lb0, da, db, taut)
         if levels is None:
             return float("inf")
-        la, lb, seg = levels
-        with np.errstate(over="ignore"):
-            # a level above e^709.78 makes the potential +inf
-            sigma2 = np.exp(la)[seg] + np.exp(lb)[seg] * self._ylag2
-        if np.any(sigma2 <= 0.0):
+        var = self._variances(*levels)
+        if var is None:
             return float("inf")
-        with np.errstate(over="ignore"):
-            # a subnormal variance makes the potential +inf
-            pot = 0.5 * np.sum(np.log(sigma2) + _LOG_2PI + self._ysq / sigma2)
+        sigma2 = var[2]
+        pot = 0.5 * np.sum(np.log(sigma2) + _LOG_2PI + self._ysq / sigma2)
         pot += 0.5 * (la0 * la0 + lb0 * lb0) + _LOG_2PI
         if self.k_max:
             scales = self._jump_scales(lsa, lsb, lea, leb)
@@ -213,31 +236,33 @@ class ArchChangePointTarget(TargetModel):
             b_k, b_next = np.exp((lb, lb + theta[2 + K + k]))
             s_k = a_k + b_k * ylag2
             s_next = a_next + b_next * ylag2
-            s_old, s_new = (s_next, s_k) if new > old else (s_k, s_next)
+            up = new > old
+            s_old, s_new = (s_next, s_k) if up else (s_k, s_next)
             du = float(0.5 * (np.log(s_new / s_old)
                               + ysq / s_new - ysq / s_old).sum())
+            # the potential is +inf where a new variance is below the floor
+            # (``_variances``), which needs a new level a below it
+            floor = self._var2_floor
+            tiny = ((a_k if up else a_next) ** 2 < floor
+                    and _squares_above(s_new, floor) is None)
         # Only a variance that overflows or vanishes makes du inf or NaN.
         # The potential is then +inf on the new side, or on the old side
         # after a smooth drift off the support: either way the diff is +inf.
-        return du if math.isfinite(du) else math.inf
+        return du if math.isfinite(du) and not tiny else math.inf
 
     def grad_smooth(self, theta):
         la0, lb0, da, db, lea, leb, lsa, lsb, taut = self._split(theta)
         K = self.k_max
+        # every support check comes before arithmetic that could warn
         levels = self._levels(la0, lb0, da, db, taut)
-        if levels is None:
-            raise ContractError("gradient queried off support")
-        la, lb, seg = levels
-        with np.errstate(over="ignore"):
-            a, b = np.exp(la), np.exp(lb)
-            sigma2 = a[seg] + b[seg] * self._ylag2
-        if math.isinf(a.max() + b.max()) or np.any(sigma2 <= 0.0):
-            # a level above e^709.78, or a vanishing variance, leaves no
-            # finite gradient
-            raise ContractError("gradient queried off support")
-        with np.errstate(over="ignore"):
-            # an infinite square only drops a vanishing term
-            gt = 0.5 / sigma2 - 0.5 * self._ysq / sigma2 ** 2
+        var = None if levels is None else self._variances(*levels)
+        scales = self._jump_scales(lsa, lsb, lea, leb) if K else ()
+        if var is None or scales is None:
+            raise OutOfSupportError("gradient queried off support")
+        seg = levels[2]
+        a, b, sigma2, var2 = var
+        # an infinite square only drops a vanishing term
+        gt = 0.5 / sigma2 - 0.5 * self._ysq / var2
         w_a = np.bincount(seg, weights=gt, minlength=K + 1)
         w_b = np.bincount(seg, weights=gt * self._ylag2, minlength=K + 1)
         aw = a * w_a
@@ -247,9 +272,6 @@ class ArchChangePointTarget(TargetModel):
         g[1] = np.sum(bw) + lb0
         za = zb = 0.0
         if K:
-            scales = self._jump_scales(lsa, lsb, lea, leb)
-            if scales is None:
-                raise ContractError("gradient queried off support")
             (scale_a, va), (scale_b, vb) = scales
             with np.errstate(over="ignore", invalid="ignore"):
                 za, zb = da ** 2 / va, db ** 2 / vb

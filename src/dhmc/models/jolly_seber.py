@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, gammaln, ndtr
 
-from ..core import ContractError, TargetModel
+from ..core import ContractError, OutOfSupportError, TargetModel
 from ..embedding import EmbeddingMap
 
 __all__ = ["JollySeberStats", "JollySeberTarget", "survival_chi",
@@ -236,7 +236,7 @@ class JollySeberTarget(TargetModel):
         lp, lphi, ut = self._split(theta)
         cells, U = self._decode_u(ut)
         if cells is None:
-            raise ContractError("gradient queried off support")
+            raise OutOfSupportError("gradient queried off support")
         st = self.stats
         T = self.T
         p = expit(lp)
@@ -245,7 +245,7 @@ class JollySeberTarget(TargetModel):
         c = st.R[:-1] - st.r[:-1]
         div = _chi_divisor(chi[:-1], c)
         if div is None:
-            raise ContractError("gradient queried where the potential is +inf")
+            raise OutOfSupportError("gradient queried where the potential is +inf")
 
         # U-chain prior variance depends on phi.
         sigma2 = self.sigma_b ** 2 + phi * (1.0 - phi)

@@ -214,13 +214,22 @@ def _dhmc_move(model, theta, smooth, disc, rng, eps_range, path_range, mass,
         g = _grad_checked(model, prop)
         evals += 1
     for _ in range(L):
-        f, e, diverged, u_end, g = _dhmc_step_inplace(
+        f, e, diverged, g = _dhmc_step_inplace(
             model, prop, p, smooth, mass, eps, order.perm, tables, g)
         flips += f
         evals += e
         if diverged:
-            row = (False, np.inf, flips, updates, evals, eps, L, True)
-            return theta, row, u_current
+            break
+    u_end = None
+    if len(smooth) and not diverged:
+        # the one potential of the trajectory; +inf here also catches a
+        # model whose gradient did not signal the end off the support
+        u_end = _potential_checked(model, prop)
+        evals += 1
+        diverged = u_end == np.inf
+    if diverged:
+        row = (False, np.inf, flips, updates, evals, eps, L, True)
+        return theta, row, u_current
     delta_h = 0.0
     accepted = True
     if len(smooth):

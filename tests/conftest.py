@@ -2,8 +2,11 @@
 
 import numpy as np
 
-from dhmc import EmbeddingMap, PhaseState, TargetModel, kinetic_energy
+from dhmc import (EmbeddingMap, OutOfSupportError, PhaseState, SweepOrder,
+                  TargetModel, kinetic_energy, sample_momentum)
+from dhmc.integrators import _sweep_inplace, _sweep_tables
 from dhmc.models import build_model
+from dhmc.samplers import _draw_eps, _draw_path_len
 
 _EMPTY = np.array([], dtype=np.intp)
 
@@ -80,7 +83,8 @@ class SmoothStep(TargetModel):
 
 
 class WalledGaussian(TargetModel):
-    """1-D smooth quadratic with hard walls at |theta| > bound."""
+    """1-D smooth quadratic with hard walls at |theta| > bound, where the
+    gradient raises ``OutOfSupportError`` as the contract asks."""
 
     name = "walled_gaussian"
     dim = 1
@@ -95,6 +99,8 @@ class WalledGaussian(TargetModel):
         return float(0.5 * theta[0] ** 2)
 
     def grad_smooth(self, theta):
+        if abs(theta[0]) > self.bound:
+            raise OutOfSupportError("gradient queried off support")
         return np.array([theta[0]])
 
 
@@ -154,6 +160,58 @@ class CoupledMix(TargetModel):
 
     def initial_theta(self, rng):
         return np.array([0.0, self.emap.embed_center(2)])
+
+
+def reference_dhmc_move(model, theta, rng, eps_range, path_range, mass,
+                        u_current, ends=None):
+    """A ``dhmc`` transition of a model with a smooth block, as a loop that
+    calls ``potential`` after every split step and diverges at the first step
+    that ends where it is +inf.
+
+    It draws from ``rng`` in ``_dhmc_move``'s order and sweeps with
+    ``_sweep_inplace``.  Returns (theta, trace row, potential, steps run) and
+    appends the end point of every step run to ``ends``.
+    """
+    smooth, disc = model.smooth_idx, model.disc_idx
+    eps = _draw_eps(rng, eps_range)
+    L = _draw_path_len(rng, *path_range)
+    p = sample_momentum(rng, mass, smooth, disc)
+    order = SweepOrder.draw(rng, disc).perm
+    tables = _sweep_tables(model, mass, disc, len(theta))
+    prop = theta.copy()
+    half = 0.5 * eps
+    flips = 0
+    updates = L * len(disc)
+    k0 = kinetic_energy(p, mass, smooth, disc)
+    g = model.grad_smooth(prop)
+    evals = 1
+    for step in range(1, L + 1):
+        p[smooth] -= half * g
+        if len(order):
+            prop[smooth] += half * mass.smooth_velocity(p[smooth])
+            f, e = _sweep_inplace(model, prop, p, order, eps, tables)
+            flips += f
+            evals += e
+            prop[smooth] += half * mass.smooth_velocity(p[smooth])
+        else:
+            prop[smooth] += eps * mass.smooth_velocity(p[smooth])
+        u_end = model.potential(prop)
+        evals += 1
+        if ends is not None:
+            ends.append(prop.copy())
+        if u_end == np.inf:
+            row = (False, np.inf, flips, updates, evals, eps, L, True)
+            return theta, row, u_current, step
+        g = model.grad_smooth(prop)
+        evals += 1
+        p[smooth] -= half * g
+    k1 = kinetic_energy(p, mass, smooth, disc)
+    delta_h = float((u_end + k1) - (u_current + k0))
+    accepted = bool(np.log(rng.uniform()) < -delta_h)
+    row = (accepted, delta_h, flips, updates, evals, eps, L, False)
+    if accepted:
+        return prop, row, u_end, L
+    return theta, row, u_current, L
 
 
 def hamiltonian(model, state, mass):

@@ -240,11 +240,15 @@ def test_bounce_branch_determinant_is_minus_one():
 def _reference_sweep(model, theta, p, order, eps, mass, disc_idx):
     """The per-update loop on numpy scalars that ``_sweep_inplace`` replaces:
     one diff for a coordinate of ``diff_idx``, two potentials for any other.
+    It evaluates both potentials every time, but counts the first only where
+    the fast path cannot carry it: before the first uncovered update, and
+    after a covered update that moved.
     """
     m_by = dict(zip(np.asarray(disc_idx).tolist(), mass.m_disc))
     covered = set(np.asarray(model.diff_idx).tolist())
     flips = 0
     evals = 0
+    known = False  # the potential at theta is carried
     for j in order:
         pj = p[j]
         s = 1.0 if pj >= 0 else -1.0
@@ -259,16 +263,18 @@ def _reference_sweep(model, theta, p, order, eps, mass, disc_idx):
             theta[j] = new
             u1 = model.potential(theta)
             theta[j] = old
-            evals += 2
+            evals += 1 if known else 2
             du = np.inf if u0 == np.inf else u1 - u0
         if du != du:
             raise ModelError(f"{model.name} returned NaN potential difference")
-        if abs(pj) * minv > du:
+        moved = abs(pj) * minv > du
+        if moved:
             theta[j] = new
             p[j] = pj - s * m_by[j] * du
         else:
             p[j] = -pj
             flips += 1
+        known = j not in covered or (known and not moved)
     return flips, evals
 
 
@@ -524,6 +530,19 @@ def test_dhmc_step_sweeps_where_the_half_drift_leaves_the_support(
         assert out.flips == flips
         assert out.state.theta[1] == st.theta[1]
         assert out.state.p[1] == -0.3
+
+
+def test_dhmc_step_closing_potential_catches_an_end_the_gradient_missed():
+    # _BandedMix's gradient does not signal its band, against the contract;
+    # the step ends at about 1.1, inside it, and its closing potential
+    # marks the step divergent
+    model = _BandedMix()
+    mass = MassSpec.diagonal([1.0], [1.0])
+    st = PhaseState([0.9, model.emap.embed_center(2)], [2.0, 0.3], [0], [1])
+    out = dhmc_step(model, st, 0.12, mass, _order(1))
+    assert out.diverged
+    assert out.state is st
+    assert out.potential_evals == 1 + 3  # one diff, the closing calls
 
 
 # ------------------------------- leapfrog: dhmc_step with an empty sweep

@@ -9,8 +9,10 @@
   ``potential`` and the ``potential_diff`` path, never an exception or NaN;
 - with the smooth block anywhere, as the split step's half drift leaves it,
   ``potential_diff`` is ``+inf`` or finite and raises nothing;
-- ``grad_smooth`` at a point off the support, where the contract does not
-  call it, raises ``ContractError``.
+- ``grad_smooth`` is finite wherever the potential is finite and raises
+  ``OutOfSupportError`` wherever it is ``+inf``, without a warning: at the
+  step ends of real trajectories that leave the support and at far
+  smooth-block probes.
 """
 
 import math
@@ -19,13 +21,15 @@ import warnings
 import numpy as np
 import pytest
 
-from dhmc import ContractError, SamplerConfig, run_chain
+from dhmc import (ContractError, MassSpec, OutOfSupportError, SamplerConfig,
+                  run_chain)
 from dhmc.embedding import EmbeddingMap
 from dhmc.models import build_model
 from dhmc.models.jolly_seber import JollySeberStats, JollySeberTarget
 from dhmc.models.simple import GridTarget
 
-from conftest import fd_grad, small_arch_cp, small_jolly_seber
+from conftest import (fd_grad, reference_dhmc_move, small_arch_cp,
+                      small_jolly_seber)
 
 
 def _grid():
@@ -257,6 +261,63 @@ def test_grad_smooth_matches_finite_differences(name):
                                    rtol=1e-6, atol=1e-5)
 
 
+def assert_grad_keeps_the_contract(model, theta):
+    """A finite gradient where the potential is finite, ``OutOfSupportError``
+    where it is +inf, and no warning from either; returns whether theta is
+    on the support."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = model.potential(theta)
+        if u == math.inf:
+            with pytest.raises(OutOfSupportError):
+                model.grad_smooth(theta)
+            return False
+        assert math.isfinite(u), u
+        g = model.grad_smooth(theta)
+        assert np.all(np.isfinite(g)), (theta, g)
+        return True
+
+
+def _far_smooth_points(model, rng):
+    """The smooth block at +750, -750 and mixed signs: exp overflows there."""
+    smooth = model.smooth_idx
+    points = []
+    for sign in (np.ones(len(smooth)), -np.ones(len(smooth)),
+                 rng.choice([-1.0, 1.0], len(smooth))):
+        theta = model.initial_theta(rng)
+        theta[smooth] = 750.0 * sign
+        points.append(theta)
+    return points
+
+
+@pytest.mark.parametrize("name", WITH_SMOOTH)
+def test_grad_smooth_keeps_the_contract_along_trajectories(name):
+    # Steps of up to 1.5 take jolly_seber and arch_cp off the support in the
+    # middle of trajectories; every step end of a loop that calls potential
+    # after each step is checked, up to the first one off the support.
+    model = MODELS[name]()
+    mass = MassSpec.unit(len(model.smooth_idx), len(model.disc_idx))
+    ends = []
+    for seed in range(20):
+        theta = model.initial_theta(np.random.default_rng(seed))
+        u = model.potential(theta)
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(5):
+            theta, _, u, _ = reference_dhmc_move(
+                model, theta, rng, (0.05, 1.5), (6, 12), mass, u, ends)
+    off = [assert_grad_keeps_the_contract(model, theta)
+           for theta in ends].count(False)
+    assert off == 0 if name in ("gaussian", "ar1") else off >= 20
+    far = _far_smooth_points(model, np.random.default_rng(6))
+    on = [assert_grad_keeps_the_contract(model, theta) for theta in far]
+    assert on == _FAR_ON_SUPPORT.get(name, [True] * 3)
+
+
+# Where the far probes lie: arch_cp's levels overflow at every sign, and
+# jolly_seber is on the support only with every p and phi rounded to 0.
+_FAR_ON_SUPPORT = {"arch_cp": [False] * 3, "jolly_seber": [False, True, False]}
+
+
 # --------------------------------------------------- off-support proposals
 
 
@@ -310,7 +371,7 @@ def test_arch_cp_gradient_at_an_overflowing_scale_is_a_contract_error():
     theta = model.initial_theta(np.random.default_rng(1))
     theta[4 * model.k_max + 3] = 800.0  # log_sigma_b
     assert model.potential(theta) == np.inf
-    with pytest.raises(ContractError, match="off support"):
+    with pytest.raises(OutOfSupportError, match="off support"):
         model.grad_smooth(theta)
 
 
@@ -321,8 +382,52 @@ def test_arch_cp_gradient_where_a_variance_vanishes_is_a_contract_error():
     assert model.potential(theta) == np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ContractError, match="off support"):
+        with pytest.raises(OutOfSupportError, match="off support"):
             model.grad_smooth(theta)
+
+
+@pytest.mark.parametrize("a, on", [
+    (math.exp(-360.0), False),  # squares to a subnormal
+    (2e-154, False),  # squares to a normal 4e-308, but y_t^2 / 4e-308 overflows
+    (math.exp(-340.0), True),
+])
+def test_arch_cp_variance_below_its_floor_is_off_the_support(a, on):
+    # b = e^-800 rounds to 0, so every variance is the level a.  Below the
+    # floor the gradient would overflow: the parent gave a finite potential
+    # there and a gradient of -inf or NaN.
+    model = build_model("arch_cp", {}, None, 0)
+    theta = model.initial_theta(np.random.default_rng(0))
+    theta[0], theta[1] = math.log(a), -800.0
+    theta[2:2 + model.k_max] = 0.0  # every segment at the level a
+    assert assert_grad_keeps_the_contract(model, theta) == on
+
+
+def test_arch_cp_diff_into_a_variance_below_its_floor_is_inf():
+    # Segment 1 gets a level a of e^-360 and a b that keeps the variances of
+    # its own two times above twice the floor, but not that of the time
+    # t = tau_1 that a move of tau_1 down by one hands it, whose y_{t-1}^2
+    # is smaller.
+    model = small_arch_cp()
+    K, first = model.k_max, model._n_smooth
+    ylag2 = model._ylag2  # index i holds t = i + 2
+    tau1 = next(t for t in range(3, model.T - 3)
+                if 4.0 * ylag2[t - 2] < min(ylag2[t - 1], ylag2[t]))
+    theta = _arch_at(model, [tau1, tau1 + 2])
+    floor = math.sqrt(model._var2_floor)
+    lb1 = math.log(floor / math.sqrt(ylag2[tau1 - 2]
+                                     * min(ylag2[tau1 - 1], ylag2[tau1])))
+    theta[0], theta[1] = 0.0, 0.0
+    theta[2:2 + K] = [-360.0, 360.0]           # da: segment 1 only
+    theta[2 + K:2 + 2 * K] = [lb1, -lb1]       # db: segment 1 only
+    value = model.tau_map.embed_center(tau1 - 1)
+    got = model.potential_diff(theta, first, value)
+    assert_diff_matches(model, theta, first, value, got)
+    assert got == math.inf
+    # the move up hands segment 1's first time to segment 0: finite
+    value = model.tau_map.embed_center(tau1 + 1)
+    got = model.potential_diff(theta, first, value)
+    assert_diff_matches(model, theta, first, value, got)
+    assert math.isfinite(got)
 
 
 def test_arch_cp_potential_where_a_variance_is_subnormal_is_silent():
@@ -376,7 +481,7 @@ def test_jolly_seber_never_seen_again_term_where_chi_rounds_to_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert model.potential(theta) == math.inf
-        with pytest.raises(ContractError, match="potential is \\+inf"):
+        with pytest.raises(OutOfSupportError, match="potential is \\+inf"):
             model.grad_smooth(theta)
     # phi_1 and p_2 at +750 alone: chi_1 = 0 only where c_1 = 0, so the
     # potential is finite, and so is every diff through it
@@ -425,6 +530,8 @@ def test_jolly_seber_never_seen_again_term_where_chi_rounds_to_zero():
                  id="da1--1e200-log_eta_a1-400-True"),
     pytest.param({"da1": 1e-10, "log_eta_a1": -368.0}, False,
                  id="da1-1e-10-log_eta_a1--368-False"),
+    pytest.param({"log_a0": -360.0, "log_b0": -800.0}, False,
+                 id="log_a0--360-log_b0--800-False"),
 ])
 def test_arch_cp_overflowing_scale_squares_are_silent(levels, finite):
     # sigma_a = e^700 stays below math.exp's limit; at log_eta = 5 only the
@@ -436,23 +543,15 @@ def test_arch_cp_overflowing_scale_squares_are_silent(levels, finite):
     # delta^2 / scale^2 would be inf / inf, where (delta / scale)^2 is about
     # 1e53.  Upward the level overflows, so the potential is +inf.  A jump
     # scale near e^-368 squares to a subnormal, where da / scale^2 would
-    # overflow in the gradient: the potential is +inf there too.
+    # overflow in the gradient: the potential is +inf there too, and so it
+    # is where a variance squares to a subnormal.
     model = small_arch_cp()
     theta = model.initial_theta(np.random.default_rng(1))
     for j, name in enumerate(model.param_names):
         for prefix, value in levels.items():
             if name.startswith(prefix):
                 theta[j] = value
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        u = model.potential(theta)
-        assert (math.isfinite(u) if finite else u == np.inf), u
-        try:
-            g = model.grad_smooth(theta)
-        except ContractError:
-            pass
-        else:
-            assert np.all(np.isfinite(g)), g
+    assert assert_grad_keeps_the_contract(model, theta) == finite
 
 
 @pytest.mark.parametrize("name", ["jolly_seber", "arch_cp"])
@@ -460,13 +559,7 @@ def test_diff_with_a_far_smooth_block_is_inf_or_finite(name):
     # The split step sweeps wherever its half drift lands; a smooth value of
     # +-750 overflows exp, so arch_cp's potential is +inf there.
     model = MODELS[name]()
-    rng = np.random.default_rng(6)
-    smooth = model.smooth_idx
-    signs = [np.ones(len(smooth)), -np.ones(len(smooth)),
-             rng.choice([-1.0, 1.0], len(smooth))]
-    for sign in signs:
-        theta = model.initial_theta(rng)
-        theta[smooth] = 750.0 * sign
+    for theta in _far_smooth_points(model, np.random.default_rng(6)):
         for j in model.disc_idx:
             knots = model.embeddings[int(j)].knots
             for value in (theta[j] - 3.0, theta[j] - 1.0, theta[j] + 1.0,

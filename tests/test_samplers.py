@@ -19,8 +19,8 @@ from dhmc.embedding import EmbeddingMap
 from dhmc.models.binomial import BinomialNTarget
 from dhmc.models.simple import BananaTarget, GaussianTarget, GridTarget
 
-from conftest import (CoupledMix, SmoothStep, WalledGaussian, small_arch_cp,
-                      small_jolly_seber)
+from conftest import (CoupledMix, SmoothStep, WalledGaussian,
+                      reference_dhmc_move, small_arch_cp, small_jolly_seber)
 
 
 def three_state():
@@ -184,13 +184,13 @@ def test_hmc_suffers_on_a_hidden_step():
 
 
 def test_hmc_eval_accounting():
-    # the initial-point potential, the opening gradient, then one potential
-    # and one gradient per leapfrog step
+    # the initial-point potential, the opening gradient, one gradient per
+    # leapfrog step, then the trajectory's one closing potential
     g = GaussianTarget(dim=1)
     cfg = SamplerConfig(kernel="hmc", eps_range=(0.1, 0.1), path_len=(5, 5),
                         n_warmup=0, n_samples=1)
     store = run_chain(g, np.zeros(1), cfg, np.random.default_rng(4))
-    assert store.warmup_evals + store.potential_evals == 2 + 2 * 5
+    assert store.warmup_evals + store.potential_evals == 2 + 5 + 1
     assert store.trace["path_len"][0] == 5
 
 
@@ -462,8 +462,9 @@ class Counted(TargetModel):
         return self.inner.potential(theta)
 
     def grad_smooth(self, theta):
-        self.calls["grad_smooth"] += 1
-        return self.inner.grad_smooth(theta)
+        g = self.inner.grad_smooth(theta)
+        self.calls["grad_smooth"] += 1  # a call that raised is not counted
+        return g
 
     def _diff(self, theta, j, value):
         if j not in self._covered:
@@ -522,16 +523,16 @@ def test_split_step_carries_its_closing_gradient():
     assert model.calls["grad_smooth"] == steps + cfg.n_samples
 
 
-def test_split_step_makes_one_potential_call():
-    # the closing potential of each step, plus the initial-point check
+def test_split_trajectory_makes_one_potential_call():
+    # the closing potential of each trajectory, plus the initial-point
+    # check: the steps in between call only grad_smooth
     model = Counted(CoupledMix())
     cfg = SamplerConfig(kernel="dhmc", eps_range=(0.3, 0.6), path_len=(2, 5),
                         n_warmup=0, n_samples=60, tune_eps=False,
                         tune_mass=False, seed=23)
     store = run_chain(model, None, cfg)
     assert store.divergences == 0
-    steps = int(store.trace["path_len"].sum())
-    assert model.calls["potential"] == 1 + steps
+    assert model.calls["potential"] == 1 + cfg.n_samples
 
 
 def test_arch_cp_change_point_update_is_one_diff_call():
@@ -547,9 +548,67 @@ def test_arch_cp_change_point_update_is_one_diff_call():
     assert store.divergences == 0
     steps = int(store.trace["path_len"].sum())
     assert model.calls["potential_diff"] == arch.k_max * steps
-    # the initial-point check, then one closing potential per step
-    assert model.calls["potential"] == 1 + steps
+    # the initial-point check, then one closing potential per trajectory
+    assert model.calls["potential"] == 1 + cfg.n_samples
     assert len(all_potentials) == model.calls["potential"]
+
+
+@pytest.mark.parametrize("make", [small_jolly_seber, small_arch_cp],
+                         ids=["jolly_seber", "arch_cp"])
+def test_one_closing_potential_moves_as_a_potential_after_every_step(make):
+    # Large steps leave the support in the middle of trajectories.  There the
+    # reference's potential is +inf and the move's gradient raises; either
+    # way the trajectory diverges at the same step, with the same random
+    # draws.  Only potential_evals differs: the reference calls potential at
+    # every step end, the move once after the last step and not at all
+    # after a divergence, whose raising gradient it does not count.
+    model = make()
+    smooth, disc = model.smooth_idx, model.disc_idx
+    mass = MassSpec.unit(len(smooth), len(disc))
+    evals = samplers.TRACE_DTYPE.names.index("potential_evals")
+    early = late = 0
+    for seed in range(30):
+        theta = model.initial_theta(np.random.default_rng(seed))
+        u = model.potential(theta)
+        rng, ref_rng = (np.random.default_rng(100 + seed) for _ in range(2))
+        for _ in range(5):
+            args = (rng, (0.05, 1.5), (6, 12), mass, u)
+            new, row, u_new = samplers._dhmc_move(model, theta, smooth, disc,
+                                                  *args)
+            ref, ref_row, ref_u, steps = reference_dhmc_move(
+                model, theta, ref_rng, *args[1:])
+            assert new.tobytes() == ref.tobytes()
+            assert u_new == ref_u
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            for i, (got, want) in enumerate(zip(row, ref_row)):
+                if i != evals:
+                    assert got == want, samplers.TRACE_DTYPE.names[i]
+            diverged = ref_row[-1]
+            assert row[evals] == ref_row[evals] - steps + (not diverged)
+            early += diverged and steps < ref_row[6]
+            late += diverged and steps == ref_row[6]
+            theta, u = new, u_new
+    assert early >= 5 and late >= 1
+
+
+class _SilentWall(WalledGaussian):
+    """A wall that the gradient does not signal, against the contract."""
+
+    def grad_smooth(self, theta):
+        return np.array([theta[0]])
+
+
+def test_closing_potential_catches_an_end_the_gradient_missed():
+    # Steps past the wall go on; the trajectory's one closing potential
+    # marks those that end there divergent, and the draws stay inside.
+    model = Counted(_SilentWall(bound=2.0))
+    cfg = SamplerConfig(kernel="hmc", eps_range=(1.5, 1.5), path_len=(8, 8),
+                        n_warmup=0, n_samples=400, seed=85, tune_eps=False)
+    store = run_chain(model, np.array([0.0]), cfg)
+    assert store.divergences > 0
+    assert np.abs(store.draws).max() < 2.0
+    assert not store.trace[store.trace["diverged"]]["accepted"].any()
+    assert model.calls["potential"] == 1 + cfg.n_samples
 
 
 def test_dhmc_on_an_all_smooth_target_is_hmc():
