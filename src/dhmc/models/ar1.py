@@ -8,9 +8,11 @@ standard benchmark for coordinate-wise kernels as well.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..core import ContractError, TargetModel
+from ..core import ContractError, OutOfSupportError, TargetModel
 
 __all__ = ["Ar1Target"]
 
@@ -35,12 +37,21 @@ class Ar1Target(TargetModel):
         self._q_int = s * (1.0 + alpha * alpha)
         self.smooth_idx = np.arange(dim, dtype=np.intp)
 
+    def _quadratic(self, theta):
+        """The potential in innovations form, well conditioned and O(d), and
+        +inf where it overflows.  ``grad_smooth`` reads it here: a call of
+        ``potential`` would count as a model call."""
+        with np.errstate(over="ignore"):
+            resid = theta[1:] - self.alpha * theta[:-1]
+            return float(0.5 * (theta[0] * theta[0]
+                                + self._s * np.dot(resid, resid)))
+
     def potential(self, theta):
-        # Innovations form: well conditioned and O(d).
-        resid = theta[1:] - self.alpha * theta[:-1]
-        return float(0.5 * (theta[0] * theta[0] + self._s * np.dot(resid, resid)))
+        return self._quadratic(theta)
 
     def grad_smooth(self, theta):
+        if self._quadratic(theta) == math.inf:
+            raise OutOfSupportError("gradient queried where the potential is +inf")
         g = np.empty_like(theta)
         g[0] = self._q_end * theta[0]
         g[-1] = self._q_end * theta[-1]

@@ -7,7 +7,8 @@ tau_0 = 1 and tau_{K+1} = T.  Levels are parameterised by log a_0, log b_0
 with Normal(0, (sigma eta_k)^2) priors; eta_k and sigma are half-Cauchy,
 sampled on the log scale with their Jacobians.  The change points tau_k are
 embedded integers, uniform over 1 < tau_1 < ... < tau_K < T, that share one
-map, so ``potential`` decodes them in one ``EmbeddingMap.cells`` call.
+map; ``potential`` and ``grad_smooth`` decode them with one
+``EmbeddingMap.cell`` call each.
 
 ``potential_diff`` covers the change points, its ``diff_idx``, at a cost of
 O(|Delta tau|): only the likelihood terms of the times that switch between
@@ -55,10 +56,10 @@ def _squares_above(x, floor):
     """``x ** 2``, or None where the potential is +inf: an entry of ``x`` is
     infinite or NaN, or its square is below ``floor``, at least the least
     normal float, where a term over the square would overflow.  The one
-    support rule for the segment variances and the jump scales."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        x2 = x ** 2
-        return x2 if ((x2 >= floor) & (x < math.inf)).all() else None
+    support rule for the segment variances and the jump scales; callers run
+    it under ``np.errstate(over="ignore", invalid="ignore")``."""
+    x2 = x ** 2
+    return x2 if ((x2 >= floor) & (x < math.inf)).all() else None
 
 
 def _scaled_squares(delta, scale, scale2):
@@ -104,7 +105,7 @@ class ArchChangePointTarget(TargetModel):
         # could overflow: the support ends there (``_squares_above``).
         self._var2_floor = max(_TINY, 4.0 * len(self._ysq) * self._ysq.max()
                                * max(1.0, self._ylag2.max()) / _HUGE)
-        self._t_grid = np.arange(2, self.T + 1)
+        self._t_index = np.arange(self.T - 1)
 
     @property
     def diff_idx(self):
@@ -122,88 +123,94 @@ class ArchChangePointTarget(TargetModel):
         names += [f"tau{k + 1}" for k in range(K)]
         return names
 
-    def _split(self, theta):
-        K = self.k_max
-        la0, lb0 = theta[0], theta[1]
-        da = theta[2:2 + K]
-        db = theta[2 + K:2 + 2 * K]
-        lea = theta[2 + 2 * K:2 + 3 * K]
-        leb = theta[2 + 3 * K:2 + 4 * K]
-        lsa, lsb = theta[2 + 4 * K], theta[3 + 4 * K]
-        taut = theta[self._n_smooth:]
-        return la0, lb0, da, db, lea, leb, lsa, lsb, taut
-
     def _decode_tau(self, taut):
-        cells = self.tau_map.cells(taut)
-        if cells is None or np.any(np.diff(cells) <= 0):
+        """Cells of tau_1 < ... < tau_K (cell c holds tau = c + 2), or None
+        where a change point lies off the support or out of order."""
+        cell = self.tau_map.cell
+        cells = [cell(x) for x in taut.tolist()]
+        if None in cells or any(c >= d for c, d in zip(cells, cells[1:])):
             return None
-        return self.tau_map.values[cells]
+        return cells
 
-    def _levels(self, la0, lb0, da, db, taut):
-        """Log levels ``(la, lb)`` of the K+1 segments and the 0-based
-        segment ``seg`` of each t in 2..T, or None where a change point lies
-        off the support."""
-        taus = self._decode_tau(taut)
-        if taus is None:
+    # The smooth block is log_a0, log_b0, the K jumps da, then db, the K
+    # log_eta_a, then log_eta_b, log_sigma_a and log_sigma_b.  The helpers
+    # below hold each a/b pair as the two rows of one array.
+
+    def _levels(self, theta):
+        """Log levels of the K+1 segments, of a in row 0 and of b in row 1,
+        and the 0-based segment ``seg`` of each t in 2..T, or None where a
+        change point lies off the support."""
+        cells = self._decode_tau(theta[self._n_smooth:])
+        if cells is None:
             return None
-        la = la0 + np.concatenate(([0.0], np.cumsum(da)))
-        lb = lb0 + np.concatenate(([0.0], np.cumsum(db)))
-        return la, lb, np.searchsorted(taus, self._t_grid, side="left")
+        K = self.k_max
+        levels = np.zeros((2, K + 1))
+        levels[:, 1:] = theta[2:2 + 2 * K].reshape(2, K).cumsum(axis=1)
+        levels += theta[:2, None]
+        # t = i + 2 lies after tau_k = c + 2 exactly when i > c
+        return levels, np.array(cells).searchsorted(self._t_index)
 
-    @staticmethod
-    def _jump_scales(lsa, lsb, lea, leb):
-        """``(scale, scale ** 2)`` of the a and the b jumps, or None where the
-        potential is +inf (``_squares_above`` the least normal float)."""
+    def _jump_scales(self, theta):
+        """``(scale, scale ** 2)`` of the a jumps (row 0) and of the b jumps
+        (row 1), or None where the potential is +inf (``_squares_above`` the
+        least normal float)."""
+        K = self.k_max
         try:
-            sa, sb = math.exp(lsa), math.exp(lsb)
+            sigma = [[math.exp(theta.item(2 + 4 * K))],
+                     [math.exp(theta.item(3 + 4 * K))]]
         except OverflowError:  # truncates a tail of mass below e^-709
             return None
         with np.errstate(over="ignore", invalid="ignore"):
-            scale_a, scale_b = sa * np.exp(lea), sb * np.exp(leb)
-        # a scale below e^-354 is a prior tail
-        va, vb = _squares_above(scale_a, _TINY), _squares_above(scale_b, _TINY)
-        if va is None or vb is None:
-            return None
-        return (scale_a, va), (scale_b, vb)
+            scale = sigma * np.exp(theta[2 + 2 * K:2 + 4 * K].reshape(2, K))
+            # a scale below e^-354 is a prior tail
+            scale2 = _squares_above(scale, _TINY)
+        return None if scale2 is None else (scale, scale2)
 
-    def _variances(self, la, lb, seg):
-        """``(a, b, sigma2, sigma2 ** 2)``: the levels and the variance of
-        each t in 2..T with its square, or None where the potential is +inf
-        (``_squares_above`` the variance floor): a level or a variance
-        overflows, or a variance is below the floor's square root."""
-        with np.errstate(over="ignore"):
-            a, b = np.exp(la), np.exp(lb)
-            sigma2 = a[seg] + b[seg] * self._ylag2
-        var2 = _squares_above(sigma2, self._var2_floor)
-        return None if var2 is None else (a, b, sigma2, var2)
+    def _variances(self, levels, seg):
+        """``(ab, sigma2, sigma2 ** 2)``: the levels a and b (rows of ``ab``)
+        and the variance of each t in 2..T with its square, or None where the
+        potential is +inf (``_squares_above`` the variance floor): a level or
+        a variance overflows, or a variance is below the floor's square
+        root."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            ab = np.exp(levels)
+            sigma2 = ab[0][seg] + ab[1][seg] * self._ylag2
+            var2 = _squares_above(sigma2, self._var2_floor)
+        return None if var2 is None else (ab, sigma2, var2)
 
     def potential(self, theta):
-        la0, lb0, da, db, lea, leb, lsa, lsb, taut = self._split(theta)
-        levels = self._levels(la0, lb0, da, db, taut)
+        levels = self._levels(theta)
         if levels is None:
             return float("inf")
         var = self._variances(*levels)
         if var is None:
             return float("inf")
-        sigma2 = var[2]
-        pot = 0.5 * np.sum(np.log(sigma2) + _LOG_2PI + self._ysq / sigma2)
+        sigma2 = var[1]
+        pot = 0.5 * (np.log(sigma2) + _LOG_2PI + self._ysq / sigma2).sum()
+        la0, lb0 = theta[0], theta[1]
         pot += 0.5 * (la0 * la0 + lb0 * lb0) + _LOG_2PI
-        if self.k_max:
-            scales = self._jump_scales(lsa, lsb, lea, leb)
+        K = self.k_max
+        # the half-Cauchy terms of log_eta_a, log_eta_b, log_sigma_a, log_sigma_b
+        half_cauchy = _half_cauchy_log_terms(theta[2 + 2 * K:4 + 4 * K])
+        if K:
+            scales = self._jump_scales(theta)
             if scales is None:
                 return float("inf")
-            for delta, (scale, scale2) in zip((da, db), scales):
-                # an infinite square of a finite scale drops a vanishing term
-                with np.errstate(over="ignore", invalid="ignore"):
-                    log_terms = np.log(scale) + 0.5 * _LOG_2PI
-                    prior = np.sum(log_terms + 0.5 * delta ** 2 / scale2)
-                if not math.isfinite(prior):  # a square overflowed
-                    prior = np.sum(log_terms + 0.5 * _scaled_squares(
-                        delta, scale, scale2))
-                pot += prior
-            pot += np.sum(_half_cauchy_log_terms(lea))
-            pot += np.sum(_half_cauchy_log_terms(leb))
-        pot += _half_cauchy_log_terms(lsa) + _half_cauchy_log_terms(lsb)
+            scale, scale2 = scales
+            delta = theta[2:2 + 2 * K].reshape(2, K)
+            # an infinite square of a finite scale drops a vanishing term
+            with np.errstate(over="ignore", invalid="ignore"):
+                log_terms = np.log(scale) + 0.5 * _LOG_2PI
+                terms = log_terms + 0.5 * delta ** 2 / scale2
+                for row in (0, 1):  # the a jumps, then the b jumps
+                    prior = terms[row].sum()
+                    if not math.isfinite(prior):  # a square overflowed
+                        prior = (log_terms[row] + 0.5 * _scaled_squares(
+                            delta[row], scale[row], scale2[row])).sum()
+                    pot += prior
+            pot += half_cauchy[:K].sum()
+            pot += half_cauchy[K:2 * K].sum()
+        pot += half_cauchy[2 * K] + half_cauchy[2 * K + 1]
         return float(pot)
 
     def potential_diff(self, theta, j, value):
@@ -251,50 +258,53 @@ class ArchChangePointTarget(TargetModel):
         return du if math.isfinite(du) and not tiny else math.inf
 
     def grad_smooth(self, theta):
-        la0, lb0, da, db, lea, leb, lsa, lsb, taut = self._split(theta)
         K = self.k_max
         # every support check comes before arithmetic that could warn
-        levels = self._levels(la0, lb0, da, db, taut)
+        levels = self._levels(theta)
         var = None if levels is None else self._variances(*levels)
-        scales = self._jump_scales(lsa, lsb, lea, leb) if K else ()
+        scales = self._jump_scales(theta) if K else ()
         if var is None or scales is None:
             raise OutOfSupportError("gradient queried off support")
-        seg = levels[2]
-        a, b, sigma2, var2 = var
+        seg = levels[1]
+        ab, sigma2, var2 = var
         # an infinite square only drops a vanishing term
         gt = 0.5 / sigma2 - 0.5 * self._ysq / var2
-        w_a = np.bincount(seg, weights=gt, minlength=K + 1)
-        w_b = np.bincount(seg, weights=gt * self._ylag2, minlength=K + 1)
-        aw = a * w_a
-        bw = b * w_b
+        w = np.array((np.bincount(seg, weights=gt, minlength=K + 1),
+                      np.bincount(seg, weights=gt * self._ylag2,
+                                  minlength=K + 1)))
+        abw = ab * w
         g = np.zeros(self._n_smooth)
-        g[0] = np.sum(aw) + la0
-        g[1] = np.sum(bw) + lb0
-        za = zb = 0.0
+        g[0] = abw[0].sum() + theta[0]
+        g[1] = abw[1].sum() + theta[1]
+        # 1 + the slopes of the half-Cauchy terms of log_eta_a, log_eta_b,
+        # log_sigma_a and log_sigma_b
+        slopes = 2.0 * expit(2.0 * theta[2 + 2 * K:4 + 4 * K])
+        za_sum = zb_sum = 0.0
         if K:
-            (scale_a, va), (scale_b, vb) = scales
+            scale, scale2 = scales
+            delta = theta[2:2 + 2 * K].reshape(2, K)
             with np.errstate(over="ignore", invalid="ignore"):
-                za, zb = da ** 2 / va, db ** 2 / vb
-            if not math.isfinite(za.sum() + zb.sum()):  # a square overflowed
-                za = _scaled_squares(da, scale_a, va)
-                zb = _scaled_squares(db, scale_b, vb)
+                z = delta ** 2 / scale2
+            za_sum, zb_sum = z[0].sum(), z[1].sum()
+            if not math.isfinite(za_sum + zb_sum):  # a square overflowed
+                z = _scaled_squares(delta, scale, scale2)
+                za_sum, zb_sum = z[0].sum(), z[1].sum()
             # d/d delta_m: likelihood through all later segments plus prior.
-            g[2:2 + K] = np.cumsum(aw[::-1])[::-1][1:] + da / va
-            g[2 + K:2 + 2 * K] = np.cumsum(bw[::-1])[::-1][1:] + db / vb
-            g[2 + 2 * K:2 + 3 * K] = 2.0 * expit(2.0 * lea) - za
-            g[2 + 3 * K:2 + 4 * K] = 2.0 * expit(2.0 * leb) - zb
-        g[2 + 4 * K] = K - np.sum(za) + 2.0 * expit(2.0 * lsa) - 1.0
-        g[3 + 4 * K] = K - np.sum(zb) + 2.0 * expit(2.0 * lsb) - 1.0
+            later = abw[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:]
+            g[2:2 + 2 * K] = (later + delta / scale2).ravel()
+            g[2 + 2 * K:2 + 4 * K] = slopes[:2 * K] - z.ravel()
+        g[2 + 4 * K] = K - za_sum + slopes[2 * K] - 1.0
+        g[3 + 4 * K] = K - zb_sum + slopes[2 * K + 1] - 1.0
         return g
 
     def level_paths(self, theta):
         """Per-time (a(t), b(t)) for t = 2..T implied by one draw."""
-        la0, lb0, da, db, *_rest, taut = self._split(theta)
-        levels = self._levels(la0, lb0, da, db, taut)
+        levels = self._levels(theta)
         if levels is None:
             raise ContractError("level_paths queried off support")
-        la, lb, seg = levels
-        return np.exp(la)[seg], np.exp(lb)[seg]
+        levels, seg = levels
+        a, b = np.exp(levels)
+        return a[seg], b[seg]
 
     def initial_theta(self, rng):
         K = self.k_max

@@ -89,10 +89,11 @@ def survival_chi(phi, p):
     T = len(p)
     if len(phi) != T - 1:
         raise ContractError("phi must have length T-1")
-    chi = np.ones(T)
+    phi, p = phi.tolist(), p.tolist()
+    chi = [1.0] * T
     for i in range(T - 2, -1, -1):
         chi[i] = 1.0 - phi[i] * (p[i + 1] + (1.0 - p[i + 1]) * (1.0 - chi[i + 1]))
-    return chi
+    return np.array(chi)
 
 
 def _chi_divisor(chi, c):
@@ -111,21 +112,33 @@ def _normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x * _SQRT_HALF)
 
 
-def _interval_normal_logmass(n, mu, sd, cdf=ndtr):
+def _interval_normal_logmass(n, mu, sd):
     """log P(n <= X < n+1) for X ~ N(mu, sd^2), stable in both tails.
 
-    ``potential_diff`` passes ``cdf=_normal_cdf`` to stay on Python floats;
-    ``potential`` and ``grad_smooth`` keep scipy's ``ndtr``.
+    The one-link form of ``_link_masses``, on Python floats with the
+    ``_normal_cdf`` of ``math.erfc``, for ``potential_diff``.
     """
     z0 = (n - mu) / sd
     z1 = (n + 1.0 - mu) / sd
     if z0 + z1 > 0.0:
-        mass = cdf(-z0) - cdf(-z1)
+        mass = _normal_cdf(-z0) - _normal_cdf(-z1)
     else:
-        mass = cdf(z1) - cdf(z0)
+        mass = _normal_cdf(z1) - _normal_cdf(z0)
     if mass <= 0.0:
-        return -np.inf
+        return -math.inf
     return math.log(mass)
+
+
+def _link_masses(U, u, s):
+    """The U-chain links as arrays: the interval ends ``z0``, ``z1`` in
+    standard units and the Normal mass between them of each
+    U_{i+1} | U_i ~ N(U_i - u_i, s_i^2), by scipy's ``ndtr``, which gives the
+    same bits on an array as on a scalar."""
+    mu = U[:-1] - u[:-1]
+    z0 = (U[1:] - mu) / s
+    z1 = (U[1:] + 1.0 - mu) / s
+    mass = np.where(z0 + z1 > 0.0, ndtr(-z0) - ndtr(-z1), ndtr(z1) - ndtr(z0))
+    return z0, z1, mass
 
 
 def _softplus(x: float) -> float:
@@ -170,8 +183,10 @@ class JollySeberTarget(TargetModel):
                 raise ContractError(f"unknown embedding kind {kind!r}")
             self.emaps.append(emap)
         self.embeddings = {int(j): m for j, m in zip(self.disc_idx, self.emaps)}
-        # per-occasion ints: U_{i+1} is _u_lo[i] plus its cell
+        # per-occasion ints: the data, and U_{i+1} is _u_lo[i] plus its cell
         self._u_obs = stats.u.tolist()
+        self._z_obs = stats.z.tolist()
+        self._m_obs = stats.m.tolist()
         self._u_lo = [emap.lo for emap in self.emaps]
 
     @property
@@ -221,10 +236,9 @@ class JollySeberTarget(TargetModel):
                             + st.m[1:] * (log_phi + log_p[1:])))
         # Priors on the U chain.
         pot += math.log(U[0])
-        var_b = self.sigma_b ** 2 + phi * (1.0 - phi)
-        for i in range(self.T - 1):
-            pot -= _interval_normal_logmass(U[i + 1], U[i] - st.u[i],
-                                            math.sqrt(var_b[i]))
+        s = np.sqrt(self.sigma_b ** 2 + phi * (1.0 - phi))
+        for mass in _link_masses(U, st.u, s)[2].tolist():
+            pot -= -math.inf if mass <= 0.0 else math.log(mass)
         # Uniform priors on p, phi via the log-odds transform Jacobian.
         pot -= float(np.sum(log_p + log_1mp) + np.sum(log_phi - np.logaddexp(0.0, lphi)))
         # Embedding cell widths.
@@ -246,50 +260,61 @@ class JollySeberTarget(TargetModel):
         div = _chi_divisor(chi[:-1], c)
         if div is None:
             raise OutOfSupportError("gradient queried where the potential is +inf")
+        # U-chain prior: its standard deviation s depends on phi.  A link
+        # whose mass rounds to 0 makes the potential +inf.
+        s = np.sqrt(self.sigma_b ** 2 + phi * (1.0 - phi))
+        z0, z1, mass = _link_masses(U, st.u, s)
+        mass = mass.tolist()
+        if any(w <= 0.0 for w in mass):
+            raise OutOfSupportError("gradient queried where the potential is +inf")
 
-        # U-chain prior variance depends on phi.
-        sigma2 = self.sigma_b ** 2 + phi * (1.0 - phi)
-        du_prior = np.empty(T - 1)
-        for i in range(T - 1):
-            s = math.sqrt(sigma2[i])
-            mu = U[i] - st.u[i]
-            z0 = (U[i + 1] - mu) / s
-            z1 = (U[i + 1] + 1.0 - mu) / s
-            mass = math.exp(_interval_normal_logmass(U[i + 1], mu, s))
-            dmass_ds = (z0 * math.exp(-0.5 * z0 * z0)
-                        - z1 * math.exp(-0.5 * z1 * z1)) / (s * _SQRT_2PI)
-            ds_dphi = (1.0 - 2.0 * phi[i]) / (2.0 * s)
-            du_prior[i] = -dmass_ds * ds_dphi / mass
+        # The rest runs on Python floats, element by element: their + - * /
+        # give numpy's bits, at a fraction of the cost per call on T entries.
+        p, phi, chi, U = p.tolist(), phi.tolist(), chi.tolist(), U.tolist()
+        q = [1.0 - x for x in p]
+        exp, log = math.exp, math.log
+        du_prior = [
+            -((a * exp(-0.5 * a * a) - b * exp(-0.5 * b * b)) / (si * _SQRT_2PI))
+            * ((1.0 - 2.0 * f) / (2.0 * si)) / exp(log(w))
+            for a, b, si, f, w in zip(z0.tolist(), z1.tolist(), s.tolist(),
+                                      phi, mass)]
         # Never-seen-again part via the adjoint of the chi recursion.
-        lam = np.empty(T - 1)
-        for i in range(T - 1):
-            lam[i] = -c[i] / div[i]
-            if i > 0:
-                lam[i] += lam[i - 1] * phi[i - 1] * (1.0 - p[i])
-        g = np.empty(2 * T - 1)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            du_dp = -st.u / p + (U - st.u) / (1.0 - p)
-            du_dphi = np.zeros(T - 1)
-            # Direct recapture terms.
-            du_dp[1:] += st.z[1:] / (1.0 - p[1:]) - st.m[1:] / p[1:]
-            du_dphi -= (st.z[1:] + st.m[1:]) / phi
-            du_dphi += lam * (chi[:-1] - 1.0) / phi
-            du_dp[1:] += lam * (-phi * chi[1:])
-            du_dphi += du_prior
-            g[:T] = p * (1.0 - p) * du_dp + (2.0 * p - 1.0)
-            g[T:] = phi * (1.0 - phi) * du_dphi + (2.0 * phi - 1.0)
-        if np.isfinite(g).all():
-            return g
+        lam = [-ci / di for ci, di in zip(c.tolist(), div.tolist())]
+        for i in range(1, T - 1):
+            lam[i] += lam[i - 1] * phi[i - 1] * q[i]
         # Where a p or phi rounds to 0 or 1, or its reciprocal overflows, the
-        # chain rule above is 0 * inf.  The same gradient with the divisions
-        # multiplied through is finite there.
-        q = 1.0 - p
-        gp = (U - st.u) * p - st.u * q + (2.0 * p - 1.0)
-        gp[1:] += (st.z[1:] * p[1:] - st.m[1:] * q[1:]
-                   - p[1:] * q[1:] * lam * phi * chi[1:])
-        gphi = ((1.0 - phi) * (lam * (chi[:-1] - 1.0) - (st.z[1:] + st.m[1:]))
-                + phi * (1.0 - phi) * du_prior + (2.0 * phi - 1.0))
-        return np.where(np.isfinite(g), g, np.concatenate([gp, gphi]))
+        # chain rule is 0 * inf or divides by 0.  The same gradient with the
+        # divisions multiplied through is finite there.
+        u, z, m = self._u_obs, self._z_obs, self._m_obs
+        g = []
+        for i in range(T):  # d/d logit(p_{i+1})
+            pi, qi = p[i], q[i]
+            try:
+                du = -u[i] / pi + (U[i] - u[i]) / qi
+                if i:  # the recaptures, and chi_{i} through the adjoint
+                    du += z[i] / qi - m[i] / pi
+                    du += lam[i - 1] * (-phi[i - 1] * chi[i])
+                gi = pi * qi * du + (2.0 * pi - 1.0)
+            except ZeroDivisionError:
+                gi = math.nan
+            if not math.isfinite(gi):
+                gi = (U[i] - u[i]) * pi - u[i] * qi + (2.0 * pi - 1.0)
+                if i:
+                    gi += (z[i] * pi - m[i] * qi
+                           - pi * qi * lam[i - 1] * phi[i - 1] * chi[i])
+            g.append(gi)
+        for i in range(T - 1):  # d/d logit(phi_{i+1})
+            f, seen = phi[i], z[i + 1] + m[i + 1]
+            try:
+                du = 0.0 - seen / f + lam[i] * (chi[i] - 1.0) / f + du_prior[i]
+                gi = f * (1.0 - f) * du + (2.0 * f - 1.0)
+            except ZeroDivisionError:
+                gi = math.nan
+            if not math.isfinite(gi):
+                gi = ((1.0 - f) * (lam[i] * (chi[i] - 1.0) - seen)
+                      + f * (1.0 - f) * du_prior[i] + (2.0 * f - 1.0))
+            g.append(gi)
+        return np.array(g)
 
     def _u_cell(self, theta, i):
         """Cell of the embedded U_{i+1} (0-based i) of an in-support theta."""
@@ -326,14 +351,17 @@ class JollySeberTarget(TargetModel):
             mu = (self._u_lo[i - 1] + self._u_cell(theta, i - 1)
                   - self._u_obs[i - 1])
             s = math.sqrt(var_b + _logistic_var(theta.item(T + i - 1)))
-            du += (_interval_normal_logmass(U0, mu, s, _normal_cdf)
-                   - _interval_normal_logmass(U1, mu, s, _normal_cdf))
+            du += (_interval_normal_logmass(U0, mu, s)
+                   - _interval_normal_logmass(U1, mu, s))
         if i < T - 1:  # U_{i+2} | U_{i+1}, with the variance of phi_{i+1}
             n = self._u_lo[i + 1] + self._u_cell(theta, i + 1)
             s = math.sqrt(var_b + _logistic_var(theta.item(T + i)))
-            du += (_interval_normal_logmass(n, U0 - u, s, _normal_cdf)
-                   - _interval_normal_logmass(n, U1 - u, s, _normal_cdf))
-        return du
+            du += (_interval_normal_logmass(n, U0 - u, s)
+                   - _interval_normal_logmass(n, U1 - u, s))
+        # Only a link whose mass rounds to 0 makes du inf or NaN.  The
+        # potential is then +inf on the new side, or on the old side after
+        # a smooth drift off the support: either way the diff is +inf.
+        return du if math.isfinite(du) else math.inf
 
     def initial_theta(self, rng):
         """A dispersed but in-support start near plausible parameter values."""

@@ -6,9 +6,11 @@ targets live in their own modules.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..core import ContractError, TargetModel
+from ..core import ContractError, OutOfSupportError, TargetModel
 from ..embedding import EmbeddingMap
 
 __all__ = ["GaussianTarget", "GridTarget", "BananaTarget"]
@@ -33,11 +35,19 @@ class GaussianTarget(TargetModel):
         self._ivar = 1.0 / self.sd ** 2
         self.smooth_idx = np.arange(dim, dtype=np.intp)
 
+    def _quadratic(self, theta):
+        """The potential, +inf where the sum overflows.  ``grad_smooth``
+        reads it here: a call of ``potential`` would count as a model call."""
+        with np.errstate(over="ignore"):
+            z = theta - self.mean
+            return float(0.5 * np.dot(z * self._ivar, z))
+
     def potential(self, theta):
-        z = theta - self.mean
-        return float(0.5 * np.dot(z * self._ivar, z))
+        return self._quadratic(theta)
 
     def grad_smooth(self, theta):
+        if self._quadratic(theta) == math.inf:
+            raise OutOfSupportError("gradient queried where the potential is +inf")
         return (theta - self.mean) * self._ivar
 
     def potential_diff(self, theta, j, value):

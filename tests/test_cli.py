@@ -596,17 +596,29 @@ def test_count_options_must_be_positive(capsys, argv):
 # ------------------------------------------------------------- miscellaneous
 
 
-def test_parallel_chains_match_serial(tmp_path, monkeypatch):
+def _parallel_matches_serial(tmp_path, monkeypatch, **overrides):
     cfg = write_config(tmp_path / "s.yaml", output_dir=str(tmp_path / "serial"),
-                       chains=2)
+                       chains=2, **overrides)
     assert run_cli("run", "--config", cfg) == 0
     cfg = write_config(tmp_path / "p.yaml", output_dir=str(tmp_path / "par"),
-                       chains=2)
+                       chains=2, **overrides)
     monkeypatch.setenv("DHMC_MAX_WORKERS", "2")
     assert run_cli("run", "--config", cfg) == 0
     for chain in ("chain_00", "chain_01"):
         assert (tmp_path / "serial" / chain / "samples.csv").read_bytes() == \
             (tmp_path / "par" / chain / "samples.csv").read_bytes()
+
+
+def test_parallel_chains_match_serial(tmp_path, monkeypatch):
+    _parallel_matches_serial(tmp_path, monkeypatch)
+
+
+def test_parallel_chains_match_serial_with_embedded_counts(tmp_path,
+                                                           monkeypatch):
+    # each worker unpickles the model with its EmbeddingMaps
+    _parallel_matches_serial(tmp_path, monkeypatch, model={
+        "name": "jolly_seber", "synth_seed": 3,
+        "params": {"u1": 60, "p": [0.5] * 4, "phi": [0.8] * 3, "n_max": 400}})
 
 
 def test_chain_seeds_differ(tmp_path):

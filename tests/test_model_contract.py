@@ -279,14 +279,17 @@ def assert_grad_keeps_the_contract(model, theta):
 
 
 def _far_smooth_points(model, rng):
-    """The smooth block at +750, -750 and mixed signs: exp overflows there."""
+    """The smooth block at +-750, where exp overflows, and at +-1e160, where
+    a square overflows: all positive, all negative and mixed signs."""
     smooth = model.smooth_idx
+    signs = (np.ones(len(smooth)), -np.ones(len(smooth)),
+             rng.choice([-1.0, 1.0], len(smooth)))
     points = []
-    for sign in (np.ones(len(smooth)), -np.ones(len(smooth)),
-                 rng.choice([-1.0, 1.0], len(smooth))):
-        theta = model.initial_theta(rng)
-        theta[smooth] = 750.0 * sign
-        points.append(theta)
+    for scale in (750.0, 1e160):
+        for sign in signs:
+            theta = model.initial_theta(rng)
+            theta[smooth] = scale * sign
+            points.append(theta)
     return points
 
 
@@ -310,12 +313,14 @@ def test_grad_smooth_keeps_the_contract_along_trajectories(name):
     assert off == 0 if name in ("gaussian", "ar1") else off >= 20
     far = _far_smooth_points(model, np.random.default_rng(6))
     on = [assert_grad_keeps_the_contract(model, theta) for theta in far]
-    assert on == _FAR_ON_SUPPORT.get(name, [True] * 3)
+    assert on == _FAR_ON_SUPPORT.get(name, [True] * 3 + [False] * 3)
 
 
-# Where the far probes lie: arch_cp's levels overflow at every sign, and
+# Where the far probes lie: the quadratic potentials of gaussian and ar1
+# overflow at +-1e160, arch_cp's levels overflow at every probe, and
 # jolly_seber is on the support only with every p and phi rounded to 0.
-_FAR_ON_SUPPORT = {"arch_cp": [False] * 3, "jolly_seber": [False, True, False]}
+_FAR_ON_SUPPORT = {"arch_cp": [False] * 6,
+                   "jolly_seber": [False, True, False] * 2}
 
 
 # --------------------------------------------------- off-support proposals
@@ -512,6 +517,37 @@ def test_jolly_seber_never_seen_again_term_where_chi_rounds_to_zero():
         np.testing.assert_allclose(model.grad_smooth(theta),
                                    fd_grad(on_smooth, theta[smooth]),
                                    rtol=1e-6, atol=1e-5)
+
+
+def test_jolly_seber_link_whose_mass_rounds_to_zero_is_off_the_support():
+    # With sigma_b = 1, U_4 = 4000 lies so far from its Normal links that
+    # their interval masses round to 0: the potential is +inf.  The gradient
+    # must raise before it divides by such a mass (it would warn and return
+    # NaN), and a diff from there is +inf, also back onto the support (a
+    # difference of the log masses is NaN there, or -inf).
+    model = build_model("jolly_seber", {"sigma_b": 1.0}, None, 33)
+    theta = model.initial_theta(np.random.default_rng(0))
+    # every link at its mean, U_{i+1} = U_i - u_i, ending at U_T = u_T
+    u, first = model.stats.u.tolist(), 2 * model.T - 1
+    U = [u[-1]]
+    for i in range(model.T - 2, -1, -1):
+        U.insert(0, U[0] + u[i])
+    for i, (emap, n) in enumerate(zip(model.emaps, U)):
+        theta[first + i] = emap.embed_center(n)
+    assert math.isfinite(model.potential(theta))
+    j, emap = first + 3, model.emaps[3]
+    start = float(theta[j])
+    theta[j] = emap.embed_center(4000)
+    assert not assert_grad_keeps_the_contract(model, theta)
+    for value in (emap.embed_center(4001), emap.embed_center(3000), start):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model.potential_diff(theta, j, value)
+        assert got == math.inf, (value, got)
+        assert_diff_matches(model, theta, j, value, got)
+    back = theta.copy()
+    back[j] = start
+    assert math.isfinite(model.potential(back))
 
 
 @pytest.mark.parametrize("levels, finite", [
