@@ -25,7 +25,7 @@ from .core import ContractError, OutOfSupportError
 __all__ = ["EmbeddingMap"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingMap:
     """Strictly increasing knots plus the integer values of the cells.
 
@@ -56,6 +56,14 @@ class EmbeddingMap:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_flat_knots", array("d", knots.tobytes()))
+
+    def __eq__(self, other):
+        """Maps are equal when their knots and values are; like their
+        arrays, they are not hashable."""
+        if not isinstance(other, EmbeddingMap):
+            return NotImplemented
+        return (np.array_equal(self.knots, other.knots)
+                and np.array_equal(self.values, other.values))
 
     @classmethod
     def uniform(cls, lo: int, hi: int) -> "EmbeddingMap":

@@ -61,14 +61,26 @@ class Ar1Target(TargetModel):
         return g
 
     def potential_diff(self, theta, j, value):
+        # The interior case tests j once; each end adds 0.0 for its missing
+        # neighbour, as the sum over both neighbours would.
         tj = theta.item(j)
         delta = value - tj
         last = self.dim - 1
-        left = theta.item(j - 1) if j > 0 else 0.0
-        right = theta.item(j + 1) if j < last else 0.0
-        qjj = self._q_int if 0 < j < last else self._q_end
-        qtheta_j = qjj * tj - self._sa * (left + right)
-        return delta * qtheta_j + 0.5 * delta * delta * qjj
+        if 0 < j < last:
+            qjj = self._q_int
+            nbrs = theta.item(j - 1) + theta.item(j + 1)
+        else:
+            qjj = self._q_end
+            nbrs = (theta.item(j - 1) if j else 0.0) + (
+                theta.item(j + 1) if j < last else 0.0)
+        du = delta * (qjj * tj - self._sa * nbrs) + 0.5 * delta * delta * qjj
+        # Only a product that overflows makes du inf or NaN, with theta or
+        # the new value far out where the potential is +inf.  du - du is 0
+        # exactly when du is finite, a cheaper test than math.isfinite on
+        # the sweep's hot path.
+        if du - du == 0.0:
+            return du
+        return math.inf
 
     def initial_theta(self, rng):
         # Exact stationary draw.

@@ -22,10 +22,10 @@ import csv
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from ..core import ContractError, OutOfSupportError, TargetModel
 from ..embedding import EmbeddingMap
+from .special import expit
 
 __all__ = ["ArchChangePointTarget", "arch_neg_log_likelihood",
            "synth_arch_series", "save_series", "load_series"]
@@ -278,7 +278,8 @@ class ArchChangePointTarget(TargetModel):
         g[1] = abw[1].sum() + theta[1]
         # 1 + the slopes of the half-Cauchy terms of log_eta_a, log_eta_b,
         # log_sigma_a and log_sigma_b
-        slopes = 2.0 * expit(2.0 * theta[2 + 2 * K:4 + 4 * K])
+        slopes = [2.0 * expit(2.0 * x)
+                  for x in theta[2 + 2 * K:4 + 4 * K].tolist()]
         za_sum = zb_sum = 0.0
         if K:
             scale, scale2 = scales

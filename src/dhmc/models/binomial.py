@@ -8,8 +8,9 @@ embedded pmf's.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from ..core import ContractError
 from ..embedding import EmbeddingMap
@@ -47,8 +48,11 @@ class BinomialNTarget(GridTarget):
             raise ContractError(f"unknown embedding kind {kind!r}")
         self.emap = emap
         n = np.arange(lo, n_max + 1, dtype=float)
-        log_pmf = (gammaln(n + 1) - gammaln(n - y + 1) - gammaln(y + 1)
-                   + y * np.log(q) + (n - y) * np.log1p(-q) - np.log(n))
+        lgamma = math.lgamma
+        log_choose = np.array([lgamma(k + 1) - lgamma(k - y + 1) - lgamma(y + 1)
+                               for k in n.tolist()])
+        log_pmf = (log_choose + y * np.log(q) + (n - y) * np.log1p(-q)
+                   - np.log(n))
         self._log_pmf = log_pmf
         super().__init__([emap], log_pmf)
 

@@ -27,10 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln, ndtr
 
 from ..core import ContractError, OutOfSupportError, TargetModel
 from ..embedding import EmbeddingMap
+from .special import expit
 
 __all__ = ["JollySeberStats", "JollySeberTarget", "survival_chi",
            "simulate_capture_recapture", "population_draws",
@@ -107,38 +107,23 @@ def _chi_divisor(chi, c):
     return np.where(chi == 0.0, 1.0, chi)
 
 
-def _normal_cdf(x: float) -> float:
-    """The standard Normal cdf on Python floats."""
-    return 0.5 * math.erfc(-x * _SQRT_HALF)
+def _link_mass(n, mu, sd):
+    """The ends z0, z1 in standard units of the U-chain link [n, n+1) and its
+    floored-Normal mass P(n <= X < n+1) for X ~ N(mu, sd^2), stable in both
+    tails: the difference of the two cdfs is taken in the nearer tail.  The
+    standard Normal cdf at x is 0.5 erfc(-x / sqrt(2))."""
+    z0 = (n - mu) / sd
+    z1 = (n + 1.0 - mu) / sd
+    erfc = math.erfc
+    if z0 + z1 > 0.0:
+        return z0, z1, 0.5 * erfc(z0 * _SQRT_HALF) - 0.5 * erfc(z1 * _SQRT_HALF)
+    return z0, z1, 0.5 * erfc(-z1 * _SQRT_HALF) - 0.5 * erfc(-z0 * _SQRT_HALF)
 
 
 def _interval_normal_logmass(n, mu, sd):
-    """log P(n <= X < n+1) for X ~ N(mu, sd^2), stable in both tails.
-
-    The one-link form of ``_link_masses``, on Python floats with the
-    ``_normal_cdf`` of ``math.erfc``, for ``potential_diff``.
-    """
-    z0 = (n - mu) / sd
-    z1 = (n + 1.0 - mu) / sd
-    if z0 + z1 > 0.0:
-        mass = _normal_cdf(-z0) - _normal_cdf(-z1)
-    else:
-        mass = _normal_cdf(z1) - _normal_cdf(z0)
-    if mass <= 0.0:
-        return -math.inf
-    return math.log(mass)
-
-
-def _link_masses(U, u, s):
-    """The U-chain links as arrays: the interval ends ``z0``, ``z1`` in
-    standard units and the Normal mass between them of each
-    U_{i+1} | U_i ~ N(U_i - u_i, s_i^2), by scipy's ``ndtr``, which gives the
-    same bits on an array as on a scalar."""
-    mu = U[:-1] - u[:-1]
-    z0 = (U[1:] - mu) / s
-    z1 = (U[1:] + 1.0 - mu) / s
-    mass = np.where(z0 + z1 > 0.0, ndtr(-z0) - ndtr(-z1), ndtr(z1) - ndtr(z0))
-    return z0, z1, mass
+    """log P(n <= X < n+1) for X ~ N(mu, sd^2), for ``potential_diff``."""
+    mass = _link_mass(n, mu, sd)[2]
+    return -math.inf if mass <= 0.0 else math.log(mass)
 
 
 def _softplus(x: float) -> float:
@@ -211,21 +196,33 @@ class JollySeberTarget(TargetModel):
             return None, None
         return cells, np.add(self._u_lo, cells, dtype=float)
 
+    def _links(self, U, phi):
+        """The U-chain links U_{i+1} | U_i ~ N(U_i - u_i, s_i^2) with
+        s_i^2 = sigma_b^2 + phi_i (1 - phi_i), on the Python floats ``U`` and
+        ``phi``: the list of s_i and the list of ``_link_mass`` triples."""
+        var_b = self.sigma_b ** 2
+        s = [math.sqrt(var_b + f * (1.0 - f)) for f in phi]
+        return s, [_link_mass(n, prev - u, si)
+                   for n, prev, u, si in zip(U[1:], U, self._u_obs, s)]
+
     def potential(self, theta):
         lp, lphi, ut = self._split(theta)
         cells, U = self._decode_u(ut)
         if cells is None:
             return float("inf")
         st = self.stats
-        p = expit(lp)
-        phi = expit(lphi)
+        p = [expit(x) for x in lp.tolist()]
+        phi = [expit(x) for x in lphi.tolist()]
         log_p = -np.logaddexp(0.0, -lp)
         log_1mp = -np.logaddexp(0.0, lp)
         log_phi = -np.logaddexp(0.0, -lphi)
 
         # First captures.
-        pot = -float(np.sum(gammaln(U + 1.0) - gammaln(U - st.u + 1.0)
-                            + st.u * log_p + (U - st.u) * log_1mp))
+        Ul = U.tolist()
+        lgamma = math.lgamma
+        log_choose = np.array([lgamma(n + 1.0) - lgamma(n - u + 1.0)
+                               for n, u in zip(Ul, self._u_obs)])
+        pot = -float(np.sum(log_choose + st.u * log_p + (U - st.u) * log_1mp))
         # Recaptures.
         c = st.R[:-1] - st.r[:-1]
         chi = _chi_divisor(survival_chi(phi, p)[:-1], c)
@@ -235,9 +232,8 @@ class JollySeberTarget(TargetModel):
                             + st.z[1:] * (log_phi + log_1mp[1:])
                             + st.m[1:] * (log_phi + log_p[1:])))
         # Priors on the U chain.
-        pot += math.log(U[0])
-        s = np.sqrt(self.sigma_b ** 2 + phi * (1.0 - phi))
-        for mass in _link_masses(U, st.u, s)[2].tolist():
+        pot += math.log(Ul[0])
+        for _, _, mass in self._links(Ul, phi)[1]:
             pot -= -math.inf if mass <= 0.0 else math.log(mass)
         # Uniform priors on p, phi via the log-odds transform Jacobian.
         pot -= float(np.sum(log_p + log_1mp) + np.sum(log_phi - np.logaddexp(0.0, lphi)))
@@ -253,8 +249,8 @@ class JollySeberTarget(TargetModel):
             raise OutOfSupportError("gradient queried off support")
         st = self.stats
         T = self.T
-        p = expit(lp)
-        phi = expit(lphi)
+        p = [expit(x) for x in lp.tolist()]
+        phi = [expit(x) for x in lphi.tolist()]
         chi = survival_chi(phi, p)
         c = st.R[:-1] - st.r[:-1]
         div = _chi_divisor(chi[:-1], c)
@@ -262,22 +258,20 @@ class JollySeberTarget(TargetModel):
             raise OutOfSupportError("gradient queried where the potential is +inf")
         # U-chain prior: its standard deviation s depends on phi.  A link
         # whose mass rounds to 0 makes the potential +inf.
-        s = np.sqrt(self.sigma_b ** 2 + phi * (1.0 - phi))
-        z0, z1, mass = _link_masses(U, st.u, s)
-        mass = mass.tolist()
-        if any(w <= 0.0 for w in mass):
+        U = U.tolist()
+        s, links = self._links(U, phi)
+        if any(w <= 0.0 for _, _, w in links):
             raise OutOfSupportError("gradient queried where the potential is +inf")
 
         # The rest runs on Python floats, element by element: their + - * /
         # give numpy's bits, at a fraction of the cost per call on T entries.
-        p, phi, chi, U = p.tolist(), phi.tolist(), chi.tolist(), U.tolist()
+        chi = chi.tolist()
         q = [1.0 - x for x in p]
         exp, log = math.exp, math.log
         du_prior = [
             -((a * exp(-0.5 * a * a) - b * exp(-0.5 * b * b)) / (si * _SQRT_2PI))
             * ((1.0 - 2.0 * f) / (2.0 * si)) / exp(log(w))
-            for a, b, si, f, w in zip(z0.tolist(), z1.tolist(), s.tolist(),
-                                      phi, mass)]
+            for (a, b, w), si, f in zip(links, s, phi)]
         # Never-seen-again part via the adjoint of the chi recursion.
         lam = [-ci / di for ci, di in zip(c.tolist(), div.tolist())]
         for i in range(1, T - 1):

@@ -51,9 +51,13 @@ class GaussianTarget(TargetModel):
         return (theta - self.mean) * self._ivar
 
     def potential_diff(self, theta, j, value):
-        z0 = theta.item(j) - self.mean[j]
-        z1 = value - self.mean[j]
-        return float(0.5 * self._ivar[j] * (z1 * z1 - z0 * z0))
+        # Python floats: the same bits as numpy's scalars, and no overflow
+        # warning where a square overflows and the potential is +inf
+        mean = self.mean.item(j)
+        z0 = theta.item(j) - mean
+        z1 = value - mean
+        du = 0.5 * self._ivar.item(j) * (z1 * z1 - z0 * z0)
+        return du if math.isfinite(du) else math.inf
 
     def initial_theta(self, rng):
         return self.mean + self.sd * rng.standard_normal(self.dim)

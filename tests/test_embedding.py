@@ -1,6 +1,8 @@
 """Knot maps for integer coordinates and the width-corrected density, which
 a one-axis ``GridTarget`` evaluates as its potential."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,15 @@ def test_maps_are_frozen():
         emap.knots[0] = -1.0
     with pytest.raises(ValueError):
         emap.values[0] = 5
+
+
+def test_maps_compare_by_knots_and_values():
+    emap = EmbeddingMap.uniform(1, 3)
+    assert emap == EmbeddingMap.uniform(1, 3)
+    assert emap == pickle.loads(pickle.dumps(emap))
+    assert emap != EmbeddingMap.uniform(1, 4)
+    assert emap != EmbeddingMap.uniform(2, 4)  # the same widths, shifted
+    assert emap != EmbeddingMap.logarithmic(1, 3)  # the same values
+    assert emap != "uniform(1, 3)"
+    with pytest.raises(TypeError):
+        hash(emap)

@@ -1,6 +1,6 @@
 """Every name ``dhmc`` exports is read by the program itself, every
-module-level private name is read by its own module, and only
-``EmbeddingMap`` applies the cell rule to its knots.
+module-level private name is read by its own module, only ``EmbeddingMap``
+applies the cell rule to its knots, and no module imports ``scipy.special``.
 
 The package sources (without ``dhmc/__init__.py``) and the benchmark under
 ``perfbench/`` are parsed; a name counts as used when it is loaded there as a
@@ -99,8 +99,29 @@ def test_only_the_embedding_map_applies_the_cell_rule():
     assert found == [], f"cell lookups outside EmbeddingMap: {found}"
 
 
-# Imports the package and the command line, builds three models that need no
-# scipy.special, then one that does.
+def _imported_names(node):
+    """Dotted names an import statement loads: ``from a import b`` gives
+    ``a`` and ``a.b``, a relative import none."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return []
+
+
+def test_no_module_imports_scipy_special():
+    # the models take their special functions from ``math`` and
+    # ``dhmc.models.special``; scipy's cost a third of a second of start-up
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "dhmc").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if any(name == "scipy.special" or name.startswith("scipy.special.")
+                    for name in _imported_names(node))]
+    assert found == [], f"scipy.special imported at {found}"
+
+
+# Imports the package and the command line and builds three light models,
+# then every other bundled model, with the CLI's default parameters.
 _IMPORT_PROBE = """
 import json, sys
 import dhmc, dhmc.cli
@@ -109,7 +130,8 @@ for name in ("ar1", "gen_bayes", "pmf"):
     build_model(name, {}, None, 0)
 loaded = [m for m in ("scipy.special", "concurrent.futures.process")
           if m in sys.modules]
-build_model("jolly_seber", {}, None, 0)
+for name in ("gaussian", "banana", "binomial_n", "jolly_seber", "arch_cp"):
+    build_model(name, {}, None, 0)
 print(json.dumps({"exported": exported, "loaded": loaded,
                   "special_after": "scipy.special" in sys.modules}))
 """
@@ -125,4 +147,4 @@ def test_models_load_only_when_built():
     seen = json.loads(proc.stdout)
     assert seen["exported"] == ["build_model"]
     assert seen["loaded"] == [], "loaded before any model needs them"
-    assert seen["special_after"], "jolly_seber builds without scipy.special"
+    assert not seen["special_after"], "a bundled model loads scipy.special"

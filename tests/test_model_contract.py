@@ -221,7 +221,7 @@ def test_jolly_seber_diff_at_support_edges():
 # ----------------------------------------------------------------- purity
 
 
-@pytest.mark.parametrize("name", ["jolly_seber", "arch_cp"])
+@pytest.mark.parametrize("name", ["gaussian", "ar1", "jolly_seber", "arch_cp"])
 def test_potential_diff_is_pure(name):
     model = MODELS[name]()
     rng = np.random.default_rng(4)
@@ -590,16 +590,20 @@ def test_arch_cp_overflowing_scale_squares_are_silent(levels, finite):
     assert assert_grad_keeps_the_contract(model, theta) == finite
 
 
-@pytest.mark.parametrize("name", ["jolly_seber", "arch_cp"])
+@pytest.mark.parametrize("name", ["gaussian", "ar1", "jolly_seber", "arch_cp"])
 def test_diff_with_a_far_smooth_block_is_inf_or_finite(name):
     # The split step sweeps wherever its half drift lands; a smooth value of
-    # +-750 overflows exp, so arch_cp's potential is +inf there.
+    # +-750 overflows exp, so arch_cp's potential is +inf there.  gaussian
+    # and ar1 diff their smooth coordinates, whose squares overflow at
+    # +-1e160: a move there, or back to the origin, is +inf or finite too.
     model = MODELS[name]()
     for theta in _far_smooth_points(model, np.random.default_rng(6)):
-        for j in model.disc_idx:
-            knots = model.embeddings[int(j)].knots
+        for j in model.diff_idx:
+            emap = model.embeddings.get(int(j))
+            ends = ((emap.knots[0], emap.knots[-1]) if emap else
+                    (0.0, -theta[j], 1.5 * theta[j], 2.0 * theta[j]))
             for value in (theta[j] - 3.0, theta[j] - 1.0, theta[j] + 1.0,
-                          theta[j] + 3.0, knots[0], knots[-1]):
+                          theta[j] + 3.0, *ends):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     got = model.potential_diff(theta, int(j), float(value))

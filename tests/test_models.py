@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.stats import binom, norm
 
 from dhmc import ContractError, SamplerConfig, run_chain
@@ -17,9 +18,11 @@ from dhmc.models.binomial import BinomialNTarget
 from dhmc.models.gen_bayes import (GenBayesTarget, load_classification,
                                    save_classification, synth_classification)
 from dhmc.models.jolly_seber import (JollySeberStats, JollySeberTarget,
-                                     load_stats, population_draws, save_stats,
-                                     simulate_capture_recapture, survival_chi)
+                                     _link_mass, load_stats, population_draws,
+                                     save_stats, simulate_capture_recapture,
+                                     survival_chi)
 from dhmc.models.simple import BananaTarget, GaussianTarget, GridTarget
+from dhmc.models.special import expit
 
 from conftest import fd_grad
 
@@ -792,6 +795,65 @@ def test_potential_finite_exactly_on_support(model, ok):
             assert math.isfinite(u)
         else:
             assert u == np.inf
+
+
+# ------------------------------------------- special functions against scipy
+#
+# The models compute their special functions with the standard library; the
+# tests alone import scipy's.  The tolerances were fixed before the runs:
+# lgamma within 8 ulp of max(1, |gammaln|), a few ulp of either library, and
+# the log link mass within 1e-10, which covers 4 ulp on each of two cdfs of
+# about 0.5 cancelling to a mass of 1e-3 (sigma_b = 500, unit cells).
+
+
+def test_expit_equals_scipy_bit_for_bit():
+    xs = np.concatenate([np.linspace(-800.0, 800.0, 160001),
+                         np.random.default_rng(0).uniform(-40.0, 40.0, 20000),
+                         [-745.2, -709.79, -709.78, 0.0, -0.0, 709.78, 745.2,
+                          math.inf, -math.inf]])
+    want = special.expit(xs)
+    got = np.array([expit(x) for x in xs.tolist()])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert expit(-800.0) == 0.0 and expit(800.0) == 1.0  # e^800 overflows
+
+
+def test_lgamma_agrees_with_gammaln_on_the_model_counts():
+    # jolly_seber and binomial_n take lgamma of integer counts plus one
+    n = np.arange(1.0, 20002.0)
+    want = special.gammaln(n)
+    got = np.array([math.lgamma(x) for x in n.tolist()])
+    tol = 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(want))
+    assert np.all(np.abs(got - want) <= tol)
+    assert math.lgamma(1.0) == 0.0 and math.lgamma(2.0) == 0.0
+
+
+def _ndtr_link_mass(n, mu, sd):
+    """The link mass of ``_link_mass`` on scipy's ndtr."""
+    z0 = (n - mu) / sd
+    z1 = (n + 1.0 - mu) / sd
+    if z0 + z1 > 0.0:
+        return special.ndtr(-z0) - special.ndtr(-z1)
+    return special.ndtr(z1) - special.ndtr(z0)
+
+
+def test_erfc_link_mass_agrees_with_ndtr():
+    # jolly_seber's links: sd = sqrt(sigma_b^2 + phi (1 - phi)) for the
+    # default sigma_b = 500 and smaller ones, standard units up to +-30
+    checked = 0
+    for sd in (0.6, 1.0, 3.7, 50.0, 500.25):
+        for z in np.linspace(-30.0, 30.0, 1201).tolist():
+            mu = 100.0
+            n = float(math.floor(mu + z * sd))
+            want = _ndtr_link_mass(n, mu, sd)
+            z0, z1, got = _link_mass(n, mu, sd)
+            assert (z0, z1) == ((n - mu) / sd, (n + 1.0 - mu) / sd)
+            if want > 1e-300:
+                assert abs(math.log(got) - math.log(want)) <= 1e-10, (sd, z)
+                checked += 1
+    assert checked > 5000
+    # far out both masses are 0, which makes the potential +inf
+    assert _link_mass(100.0, 0.0, 1.0)[2] == 0.0
+    assert _ndtr_link_mass(100.0, 0.0, 1.0) == 0.0
 
 
 # -------------------------------------------------------------- registry
