@@ -16,8 +16,7 @@ from .core import (ConfigError, ContractError, DhmcError, MassSpec, ModelError,
 from .diagnostics import (ChainSummary, EssReport, batch_means_ess,
                           min_ess_report, summarize)
 from .embedding import EmbeddingMap
-from .integrators import (StepOutcome, SweepOrder, coord_step, coord_sweep,
-                          dhmc_step)
+from .integrators import StepOutcome, coord_sweep, dhmc_step
 from .samplers import KERNELS, SamplerConfig, SampleStore, run_chain
 from .tuning import TuneState, adapt_stepsize
 
@@ -27,8 +26,8 @@ __all__ = [
     "ChainSummary", "ConfigError", "ContractError", "DhmcError",
     "EmbeddingMap", "EssReport", "KERNELS", "MassSpec", "ModelError",
     "OutOfSupportError", "PhaseState", "SampleStore", "SamplerConfig",
-    "StepOutcome", "SweepOrder", "TargetModel", "TuneState", "adapt_stepsize",
-    "batch_means_ess", "coord_step", "coord_sweep", "dhmc_step",
+    "StepOutcome", "TargetModel", "TuneState", "adapt_stepsize",
+    "batch_means_ess", "coord_sweep", "dhmc_step",
     "kinetic_energy", "min_ess_report", "run_chain", "sample_momentum",
     "summarize",
 ]

@@ -38,7 +38,7 @@ import yaml
 from .core import ConfigError, ContractError, DhmcError, MassSpec, PhaseState
 from .core import sample_momentum
 from .diagnostics import min_ess_report, summarize
-from .integrators import SweepOrder, coord_step
+from .integrators import coord_sweep
 from .models import build_model
 from .samplers import (TRACE_DTYPE, SampleStore, SamplerConfig, chain_setup,
                        config_value, run_chain)
@@ -504,7 +504,7 @@ def _plot_trajectory(args, run_dir: str) -> str:
     mass = MassSpec(m_disc=store.mass.m_disc)
     state = PhaseState(theta, sample_momentum(rng, mass, model.smooth_idx, disc),
                        model.smooth_idx, disc)
-    order = SweepOrder.draw(rng, disc)
+    order = rng.permutation(disc).tolist()
     path = os.path.join(run_dir, "plot_trajectory.csv")
     names = [f"theta_{i}" for i in range(model.dim)]
     with open(path, "w") as fh:
@@ -512,11 +512,11 @@ def _plot_trajectory(args, run_dir: str) -> str:
         fh.write("0,-1,0," + ",".join(_fmt(v) for v in state.theta) + "\n")
         update = 0
         for _ in range(steps):
-            for j in order.perm:
-                out = coord_step(model, state, int(j), eps, mass)
+            for j in order:
+                out = coord_sweep(model, state, [j], eps, mass)
                 state = out.state
                 update += 1
-                fh.write(f"{update},{int(j)},{out.flips}," +
+                fh.write(f"{update},{j},{out.flips}," +
                          ",".join(_fmt(v) for v in state.theta) + "\n")
     return path
 

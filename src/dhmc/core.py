@@ -62,15 +62,14 @@ class PhaseState:
     def __post_init__(self):
         theta = np.array(self.theta, dtype=float)
         p = np.array(self.p, dtype=float)
-        smooth = _as_index_array(self.smooth_idx)
-        disc = _as_index_array(self.disc_idx)
+        smooth = _as_index_array(self.smooth_idx).copy()
+        disc = _as_index_array(self.disc_idx).copy()
         if theta.ndim != 1 or p.shape != theta.shape:
             raise ContractError("theta and p must be 1-d arrays of equal length")
         d = theta.shape[0]
         merged = np.concatenate([smooth, disc])
-        if len(np.unique(merged)) != d or (len(merged) and (merged.min() < 0 or merged.max() >= d)):
-            raise ContractError("smooth_idx and disc_idx must partition range(d)")
-        if len(merged) != d:
+        if (len(merged) != d or len(np.unique(merged)) != d
+                or (d and (merged.min() < 0 or merged.max() >= d))):
             raise ContractError("smooth_idx and disc_idx must partition range(d)")
         if not np.all(np.isfinite(theta)) or not np.all(np.isfinite(p)):
             raise ContractError("theta and p must be finite")

@@ -1,17 +1,21 @@
 """Energy-exact and splitting integrators for mixed targets.
 
-One trajectory core lives here:
+One trajectory loop lives here, ``_trajectory``: L steps of the split
+integrator, each a half kick and half drift of the smooth block around a full
+sweep of the discontinuous block, with one ``potential`` call at the end.
+With no discontinuous block a step is velocity Verlet (leapfrog); with no
+smooth block it is the sweep alone.  Every kernel but ``rwm`` runs it, and so
+does ``dhmc_step``, with L = 1.
 
-- ``dhmc_step``: one step of the split integrator, a half kick and half drift
-  of the smooth block around a full sweep of the discontinuous block.  With
-  no discontinuous block it is velocity Verlet (leapfrog); with no smooth
-  block it is the sweep alone.  Every kernel runs this step in place.
-- ``coord_sweep`` / ``coord_step``: the sweep on its own, coordinate-wise
-  updates for Laplace momenta.  A coordinate either jumps by
-  ``eps * sign(p_j) / m_j`` while the momentum pays for the change in
-  potential, or bounces (momentum flip) when the kinetic budget
-  ``|p_j| / m_j`` does not cover the increase.  Each update preserves the
-  Hamiltonian exactly, for any potential.
+``coord_sweep`` runs the sweep on its own: coordinate-wise updates for
+Laplace momenta, in the order given.  A coordinate either jumps by
+``eps * sign(p_j) / m_j`` while the momentum pays for the change in
+potential, or bounces (momentum flip) when the kinetic budget ``|p_j| / m_j``
+does not cover the increase.  Each update preserves the Hamiltonian exactly,
+for any potential.  A sweep order is a 1-d integer array of coordinates of
+``disc_idx``; the samplers draw it as a uniform permutation, so an order and
+its reverse are equally likely, which makes the randomised sweep reversible
+in distribution.
 
 Tunnelling caveat: a coordinate jump can step across a thin high-potential
 sliver narrower than ``eps / m_j`` without ever paying for it; choose step
@@ -27,8 +31,7 @@ import numpy as np
 from .core import (ContractError, MassSpec, ModelError, OutOfSupportError,
                    PhaseState, TargetModel)
 
-__all__ = ["StepOutcome", "SweepOrder", "coord_step", "coord_sweep",
-           "dhmc_step"]
+__all__ = ["StepOutcome", "coord_sweep", "dhmc_step"]
 
 
 @dataclass(frozen=True)
@@ -45,29 +48,6 @@ class StepOutcome:
     flips: int = 0
     potential_evals: int = 0
     diverged: bool = False
-
-
-@dataclass(frozen=True)
-class SweepOrder:
-    """Permutation of the discontinuous coordinates used by one trajectory.
-
-    Drawn uniformly, so the order and its reverse are equally likely, which is
-    what makes the randomised sweep reversible in distribution.
-    """
-
-    perm: np.ndarray
-
-    def __post_init__(self):
-        perm = np.array(self.perm, dtype=np.intp)
-        if perm.ndim != 1:
-            raise ContractError("perm must be a 1-d array of coordinate indices")
-        perm.setflags(write=False)
-        object.__setattr__(self, "perm", perm)
-
-    @classmethod
-    def draw(cls, rng: np.random.Generator, disc_idx) -> "SweepOrder":
-        # copy up front: permutation chokes on empty read-only input
-        return cls(perm=rng.permutation(np.array(disc_idx, dtype=np.intp)))
 
 
 def _sweep_tables(model, mass: MassSpec, disc_idx: np.ndarray, d: int):
@@ -164,91 +144,105 @@ def _potential_checked(model, theta) -> float:
     return float(u)
 
 
-def _dhmc_step_inplace(model, theta, p, smooth, mass, eps, order, tables, g):
-    """One split-integrator step, mutating theta and p.
+def _trajectory(model, theta, p, smooth, mass, eps, L, order, tables):
+    """L split-integrator steps from (theta, p), mutating both.
 
-    ``g`` is the smooth-block gradient at the entry point (None without a
-    smooth block).  Returns (flips, evals, diverged, g_end): the smooth-block
-    gradient at the final position, which the next step takes as its ``g``;
-    None without a smooth block or after a divergence.  The step calls no
-    ``potential``: the sweep runs wherever the first half drift lands, and a
-    step that ends off the support diverges, which ``grad_smooth`` signals
-    with ``OutOfSupportError`` (that call is not counted).  The caller
-    evaluates the potential once, after the last step.
+    ``order`` is the sweep order of every step and ``tables`` the lists of
+    ``_sweep_tables``.  Returns (flips, evals, diverged, u_end): ``u_end`` is
+    the closing potential, None without a smooth block or when a gradient
+    ended the trajectory.  Without a smooth block the steps are sweeps, which keep the
+    Hamiltonian exactly and need no potential.  With one, the entry gradient
+    is taken here and each step's closing gradient is the next step's entry
+    gradient.  No step calls ``potential``: the sweep runs wherever the first
+    half drift lands, and a step that ends off the support diverges, which
+    ``grad_smooth`` signals with ``OutOfSupportError`` (that call is not
+    counted).  The one ``potential`` call is at the end; ``+inf`` there
+    also marks the trajectory divergent, which catches a model whose
+    gradient did not signal the end off the support.
     """
+    flips = 0
+    evals = 0
     if not len(smooth):
-        flips, evals = _sweep_inplace(model, theta, p, order, eps, tables)
+        for _ in range(L):
+            f, e = _sweep_inplace(model, theta, p, order, eps, tables)
+            flips += f
+            evals += e
         return flips, evals, False, None
     half = 0.5 * eps
-    p[smooth] -= half * g
-    if len(order):
-        theta[smooth] += half * mass.smooth_velocity(p[smooth])
-        flips, evals = _sweep_inplace(model, theta, p, order, eps, tables)
-        theta[smooth] += half * mass.smooth_velocity(p[smooth])
-    else:
-        flips = evals = 0
-        theta[smooth] += eps * mass.smooth_velocity(p[smooth])
-    try:
-        g_end = _grad_checked(model, theta)
-    except OutOfSupportError:
-        return flips, evals, True, None
-    p[smooth] -= half * g_end
-    return flips, evals + 1, False, g_end
+    g = _grad_checked(model, theta)
+    evals += 1
+    for _ in range(L):
+        p[smooth] -= half * g
+        if len(order):
+            theta[smooth] += half * mass.smooth_velocity(p[smooth])
+            f, e = _sweep_inplace(model, theta, p, order, eps, tables)
+            flips += f
+            evals += e
+            theta[smooth] += half * mass.smooth_velocity(p[smooth])
+        else:
+            theta[smooth] += eps * mass.smooth_velocity(p[smooth])
+        try:
+            g = _grad_checked(model, theta)
+        except OutOfSupportError:
+            return flips, evals, True, None
+        evals += 1
+        p[smooth] -= half * g
+    u_end = _potential_checked(model, theta)
+    return flips, evals + 1, u_end == np.inf, u_end
 
 
 def _check_step_args(model, state: PhaseState, mass: MassSpec, eps: float,
-                     perm):
+                     order) -> np.ndarray:
+    """Check a step's arguments; returns ``order`` as an integer array."""
     if model.dim != state.dim:
         raise ContractError("model dimension does not match the state")
     mass.check_sizes(len(state.smooth_idx), len(state.disc_idx))
     if eps <= 0:
         raise ContractError("eps must be positive")
-    disc = set(int(i) for i in state.disc_idx)
-    for j in perm:
-        if int(j) not in disc:
-            raise ContractError(f"coordinate {int(j)} is not in disc_idx; "
+    order = np.asarray(order, dtype=np.intp)
+    if order.ndim != 1:
+        raise ContractError("a sweep order must be a 1-d array of coordinate "
+                            "indices")
+    disc = set(state.disc_idx.tolist())
+    for j in order.tolist():
+        if j not in disc:
+            raise ContractError(f"coordinate {j} is not in disc_idx; "
                                 "sweep orders only visit disc_idx coordinates")
+    return order
 
 
-def coord_step(model: TargetModel, state: PhaseState, j: int, eps: float,
-               mass: MassSpec) -> StepOutcome:
-    """Single coordinate update of coordinate j (must lie in disc_idx).
+def coord_sweep(model: TargetModel, state: PhaseState, order, eps: float,
+                mass: MassSpec) -> StepOutcome:
+    """Update the coordinates of ``order`` (a 1-d integer array of
+    coordinates in disc_idx), one after the other.
 
-    Proposes theta_j + eps * sign(p_j) / m_j; the move happens when
-    |p_j| / m_j exceeds the potential increase, with the momentum reduced by
-    m_j * dU, otherwise p_j is flipped in place.  Ties bounce, sign(0) = +1,
-    an infinite dU always bounces.  Precondition: theta_j lies on the
-    support, as in ``coord_sweep``.
+    Each update proposes theta_j + eps * sign(p_j) / m_j; the move happens
+    when |p_j| / m_j exceeds the potential increase, with the momentum
+    reduced by m_j * dU, otherwise p_j is flipped in place.  Ties bounce,
+    sign(0) = +1, an infinite dU always bounces.  The sweep preserves the
+    Hamiltonian exactly regardless of the potential, which is why no
+    acceptance test is needed downstream.  Precondition: the coordinates of
+    ``order`` lie on the support.  The others may lie anywhere; every
+    potential difference there is ``+inf`` or finite.
     """
-    return coord_sweep(model, state, SweepOrder(perm=[j]), eps, mass)
-
-
-def coord_sweep(model: TargetModel, state: PhaseState, order: SweepOrder,
-                eps: float, mass: MassSpec) -> StepOutcome:
-    """Apply coord_step to every coordinate of ``order`` in sequence.
-
-    Preserves the Hamiltonian exactly regardless of the potential, which is
-    why no acceptance test is needed downstream.  Precondition: the
-    coordinates of ``order`` lie on the support.  The others may lie
-    anywhere; every potential difference there is ``+inf`` or finite.
-    """
-    _check_step_args(model, state, mass, eps, order.perm)
+    order = _check_step_args(model, state, mass, eps, order)
     theta = state.theta.copy()
     p = state.p.copy()
     tables = _sweep_tables(model, mass, state.disc_idx, state.dim)
-    flips, evals = _sweep_inplace(model, theta, p, order.perm, eps, tables)
+    flips, evals = _sweep_inplace(model, theta, p, order, eps, tables)
     out = PhaseState(theta, p, state.smooth_idx, state.disc_idx)
     return StepOutcome(state=out, flips=flips, potential_evals=evals)
 
 
 def dhmc_step(model: TargetModel, state: PhaseState, eps: float, mass: MassSpec,
-              order: SweepOrder) -> StepOutcome:
-    """One step of the split integrator.
+              order) -> StepOutcome:
+    """One step of the split integrator: a trajectory of length 1.
 
     Half kick and half drift of the smooth block, a full coordinate sweep of
-    the discontinuous block, then the mirror half drift and half kick.  With
-    an empty sweep the two half drifts fuse into one full drift, so the step
-    is exactly one velocity-Verlet (leapfrog) step: second-order accurate for
+    the discontinuous block in ``order`` (a 1-d integer array of coordinates
+    in disc_idx), then the mirror half drift and half kick.  With an empty
+    sweep the two half drifts fuse into one full drift, so the step is
+    exactly one velocity-Verlet (leapfrog) step: second-order accurate for
     smooth potentials and silently wrong across an undeclared jump.  With an
     empty smooth block it is exactly ``coord_sweep``.  Precondition: the
     discontinuous block lies on the support.  The sweep runs wherever the
@@ -257,19 +251,12 @@ def dhmc_step(model: TargetModel, state: PhaseState, eps: float, mass: MassSpec,
     trajectory, the one ``potential`` call is at the end, after a closing
     gradient that did not already find the end off the support.
     """
-    _check_step_args(model, state, mass, eps, order.perm)
+    order = _check_step_args(model, state, mass, eps, order)
     theta = state.theta.copy()
     p = state.p.copy()
-    smooth = state.smooth_idx
     tables = _sweep_tables(model, mass, state.disc_idx, state.dim)
-    g = _grad_checked(model, theta) if len(smooth) else None
-    flips, evals, diverged, _ = _dhmc_step_inplace(
-        model, theta, p, smooth, mass, eps, order.perm, tables, g)
-    if g is not None:
-        evals += 1  # the entry gradient
-        if not diverged:
-            diverged = _potential_checked(model, theta) == np.inf
-            evals += 1
+    flips, evals, diverged, _ = _trajectory(
+        model, theta, p, state.smooth_idx, mass, eps, 1, order, tables)
     if diverged:
         return StepOutcome(state=state, flips=flips, potential_evals=evals,
                            diverged=True)

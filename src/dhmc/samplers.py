@@ -35,8 +35,7 @@ import numpy as np
 
 from .core import (ConfigError, ContractError, MassSpec, PhaseState,
                    TargetModel, kinetic_energy, sample_momentum)
-from .integrators import (SweepOrder, _dhmc_step_inplace, _grad_checked,
-                          _potential_checked, _sweep_tables)
+from .integrators import _potential_checked, _sweep_tables, _trajectory
 from .tuning import (MIN_MASS_DRAWS, TuneState, adapt_stepsize,
                      mass_from_variances, warmup_variances)
 
@@ -187,46 +186,29 @@ def _draw_path_len(rng: np.random.Generator, lo: int, hi: int) -> int:
 
 
 def _dhmc_move(model, theta, smooth, disc, rng, eps_range, path_range, mass,
-               u_current):
+               tables, u_current):
     """One transition of the trajectory core; returns (theta, trace row,
     cached potential).
 
     Every kernel but ``rwm`` is this move: ``hmc`` on an all-smooth
     partition, ``mwg`` with path range (1, 1) on an all-discontinuous one.
-    With an empty smooth block the energy is conserved exactly, so the
-    proposal is accepted with probability one and no potential value is
-    needed; the cached potential is then None.  Otherwise ``u_current`` is
-    the finite potential at ``theta``.  ``theta`` is not modified; an
-    accepted proposal is a new array.
+    ``tables`` are the ``_sweep_tables`` of ``mass``.  With an empty smooth
+    block the energy is conserved exactly, so the proposal is accepted with
+    probability one and no potential value is needed; the cached potential
+    is then None.  Otherwise ``u_current`` is the finite potential at
+    ``theta``.  ``theta`` is not modified; an accepted proposal is a new
+    array.
     """
     eps = _draw_eps(rng, eps_range)
     L = _draw_path_len(rng, *path_range)
     p = sample_momentum(rng, mass, smooth, disc)
-    order = SweepOrder.draw(rng, disc)
+    order = rng.permutation(disc)
     prop = theta.copy()
-    tables = _sweep_tables(model, mass, disc, len(theta))
-    flips = 0
-    evals = 0
-    updates = L * len(disc)
-    g = None
     if len(smooth):
         k0 = kinetic_energy(p, mass, smooth, disc)
-        g = _grad_checked(model, prop)
-        evals += 1
-    for _ in range(L):
-        f, e, diverged, g = _dhmc_step_inplace(
-            model, prop, p, smooth, mass, eps, order.perm, tables, g)
-        flips += f
-        evals += e
-        if diverged:
-            break
-    u_end = None
-    if len(smooth) and not diverged:
-        # the one potential of the trajectory; +inf here also catches a
-        # model whose gradient did not signal the end off the support
-        u_end = _potential_checked(model, prop)
-        evals += 1
-        diverged = u_end == np.inf
+    flips, evals, diverged, u_end = _trajectory(
+        model, prop, p, smooth, mass, eps, L, order, tables)
+    updates = L * len(disc)
     if diverged:
         row = (False, np.inf, flips, updates, evals, eps, L, True)
         return theta, row, u_current
@@ -339,6 +321,8 @@ class SampleStore:
 
 
 def _resolve_partition(model: TargetModel, kernel: str):
+    """(smooth_idx, disc_idx) of ``kernel`` on ``model``: new writable
+    arrays, since ``rng.permutation`` rejects a read-only empty one."""
     d = model.dim
     if kernel in ("dhmc_coordwise", "mwg"):
         return np.array([], dtype=np.intp), np.arange(d, dtype=np.intp)
@@ -348,8 +332,8 @@ def _resolve_partition(model: TargetModel, kernel: str):
                 f"hmc requires an all-smooth target, {model.name} declares "
                 f"{len(model.disc_idx)} discontinuous coordinates")
         return np.arange(d, dtype=np.intp), np.array([], dtype=np.intp)
-    return (np.asarray(model.smooth_idx, dtype=np.intp),
-            np.asarray(model.disc_idx, dtype=np.intp))
+    return (np.array(model.smooth_idx, dtype=np.intp),
+            np.array(model.disc_idx, dtype=np.intp))
 
 
 def _iteration_statistic(row) -> float:
@@ -432,12 +416,13 @@ def run_chain(model: TargetModel, init, cfg: SamplerConfig,
 
     path_range = (1, 1) if cfg.kernel == "mwg" else cfg.path_len_range()
     u_cur = u0
+    tables = _sweep_tables(model, mass, disc, model.dim)
 
-    def move(th, eps_range, u_in):  # with the current mass and factor
+    def move(th, eps_range, u_in):  # with the current mass, tables and factor
         if cfg.kernel == "rwm":
             return _rwm_move(model, th, rng, eps_range, factor, u_in)
         return _dhmc_move(model, th, smooth, disc, rng, eps_range, path_range,
-                          mass, u_in)
+                          mass, tables, u_in)
 
     rows = np.empty(cfg.n_warmup + cfg.n_samples, dtype=TRACE_DTYPE)
     warmup_trace, trace = rows[:cfg.n_warmup], rows[cfg.n_warmup:]
@@ -458,6 +443,7 @@ def run_chain(model: TargetModel, init, cfg: SamplerConfig,
                     ts = replace(ts, log_eps=math.log(2.4 / math.sqrt(model.dim)))
             else:
                 mass = mass_from_variances(var, smooth, disc)
+                tables = _sweep_tables(model, mass, disc, model.dim)
 
     final_eps_range = (0.8 * ts.eps, ts.eps) if tune_eps else cfg.eps_range
 

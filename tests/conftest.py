@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from dhmc import (EmbeddingMap, OutOfSupportError, PhaseState, SweepOrder,
-                  TargetModel, kinetic_energy, sample_momentum)
+from dhmc import (EmbeddingMap, OutOfSupportError, PhaseState, TargetModel,
+                  kinetic_energy, sample_momentum)
 from dhmc.integrators import _sweep_inplace, _sweep_tables
 from dhmc.models import build_model
 from dhmc.samplers import _draw_eps, _draw_path_len
@@ -176,7 +176,9 @@ def reference_dhmc_move(model, theta, rng, eps_range, path_range, mass,
     eps = _draw_eps(rng, eps_range)
     L = _draw_path_len(rng, *path_range)
     p = sample_momentum(rng, mass, smooth, disc)
-    order = SweepOrder.draw(rng, disc).perm
+    # a writable copy, as run_chain's: permutation rejects a read-only empty
+    # array
+    order = rng.permutation(np.array(disc))
     tables = _sweep_tables(model, mass, disc, len(theta))
     prop = theta.copy()
     half = 0.5 * eps

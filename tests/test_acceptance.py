@@ -20,9 +20,8 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from dhmc import (MassSpec, PhaseState, SamplerConfig, SweepOrder,
-                  batch_means_ess, coord_sweep, dhmc_step, min_ess_report,
-                  run_chain)
+from dhmc import (MassSpec, PhaseState, SamplerConfig, batch_means_ess,
+                  coord_sweep, dhmc_step, min_ess_report, run_chain)
 from dhmc.embedding import EmbeddingMap
 from dhmc.models import build_model
 from dhmc.models.ar1 import Ar1Target
@@ -103,7 +102,7 @@ def test_01_exact_energy_conservation():
             mass = MassSpec(m_disc=rng.uniform(0.3, 3.0, size=d))
             st = all_disc_state(theta, rng.laplace(0.0, mass.m_disc))
             h0 = hamiltonian(model, st, mass)
-            order = SweepOrder.draw(rng, model.disc_idx)
+            order = rng.permutation(model.disc_idx)
             out = coord_sweep(model, st, order, float(rng.uniform(0.05, 2.0)),
                               mass)
             h1 = hamiltonian(model, out.state, mass)
@@ -118,7 +117,7 @@ def test_01_exact_energy_conservation():
             p = np.array([rng.normal(), rng.laplace(0.0, mass.m_disc[0])])
             st = PhaseState(theta, p, cm.smooth_idx, cm.disc_idx)
             h0 = hamiltonian(cm, st, mass)
-            order = SweepOrder.draw(rng, cm.disc_idx)
+            order = rng.permutation(cm.disc_idx)
             out = coord_sweep(cm, st, order, float(rng.uniform(0.05, 1.5)),
                               mass)
             h1 = hamiltonian(cm, out.state, mass)
@@ -138,7 +137,7 @@ def test_02_reversibility_and_volume():
             theta = np.array([rng.normal(), rng.uniform(1.05, 2.95)])
             p = np.array([rng.normal(), rng.laplace(0.0, 0.8)])
             eps = float(rng.uniform(0.05, 0.25))
-            order = SweepOrder.draw(rng, cm.disc_idx)
+            order = rng.permutation(cm.disc_idx)
             st = PhaseState(theta, p, cm.smooth_idx, cm.disc_idx)
             out = dhmc_step(cm, st, eps, mass, order)
             end = out.state
@@ -151,8 +150,7 @@ def test_02_reversibility_and_volume():
                 continue
 
             back_start = PhaseState(end.theta, -end.p, cm.smooth_idx, cm.disc_idx)
-            back = dhmc_step(cm, back_start, eps, mass,
-                             SweepOrder(perm=order.perm[::-1])).state
+            back = dhmc_step(cm, back_start, eps, mass, order[::-1]).state
             np.testing.assert_allclose(back.theta, theta, atol=1e-9)
             np.testing.assert_allclose(-back.p, p, atol=1e-9)
 
@@ -211,7 +209,7 @@ def test_04_stationary_distributions():
 def test_05_error_order_scaling():
     g = GaussianTarget(dim=2, sd=(1.0, 1.3))
     mass2 = MassSpec(m_disc=np.array([]), diag_smooth=np.ones(2))
-    empty_order = SweepOrder(perm=np.array([], dtype=np.intp))
+    empty_order = np.array([], dtype=np.intp)
     tau = 1.2
     eps_list = [0.2, 0.1, 0.05, 0.025]
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from dhmc import (ContractError, MassSpec, ModelError, PhaseState, SweepOrder,
-                  coord_step, coord_sweep, dhmc_step)
-from dhmc.integrators import _sweep_inplace, _sweep_tables
+from dhmc import (ContractError, MassSpec, ModelError, PhaseState, coord_sweep,
+                  dhmc_step)
+from dhmc.integrators import _check_step_args, _sweep_inplace, _sweep_tables
 from dhmc.models import build_model
 from dhmc.models.simple import BananaTarget, GaussianTarget, GridTarget
 
@@ -19,97 +19,97 @@ _UNIT1 = MassSpec(m_disc=np.ones(1))
 
 
 def _order(*idx):
-    return SweepOrder(np.array(idx, dtype=np.intp))
+    return np.array(idx, dtype=np.intp)
 
 
 def leapfrog_step(model, state, eps, mass):
     """The split step with an empty sweep: one velocity-Verlet step."""
-    return dhmc_step(model, state, eps, mass, SweepOrder(_EMPTY))
+    return dhmc_step(model, state, eps, mass, _EMPTY)
 
 
-# ---------------------------------------------------------------- coord_step
+# ------------------------------------ one coordinate update: a sweep of [j]
 
 
-def test_coord_step_flat_advances():
-    out = coord_step(FlatTarget(dim=1), all_disc_state([0.0], [2.0]), 0, 0.5,
-                     _UNIT1)
+def test_coord_update_flat_advances():
+    out = coord_sweep(FlatTarget(dim=1), all_disc_state([0.0], [2.0]), [0],
+                      0.5, _UNIT1)
     assert out.state.theta[0] == 0.5
     assert out.state.p[0] == 2.0
     assert out.flips == 0
 
 
-def test_coord_step_pays_for_barrier():
+def test_coord_update_pays_for_barrier():
     model = StepBarrier(edge=1.0, height=1.0)
-    out = coord_step(model, all_disc_state([0.8], [1.5]), 0, 0.5, _UNIT1)
+    out = coord_sweep(model, all_disc_state([0.8], [1.5]), [0], 0.5, _UNIT1)
     assert out.state.theta[0] == pytest.approx(1.3)
     assert out.state.p[0] == pytest.approx(0.5)
     assert out.flips == 0
 
 
-def test_coord_step_bounces_off_barrier():
+def test_coord_update_bounces_off_barrier():
     model = StepBarrier(edge=1.0, height=1.0)
-    out = coord_step(model, all_disc_state([0.8], [0.5]), 0, 0.5, _UNIT1)
+    out = coord_sweep(model, all_disc_state([0.8], [0.5]), [0], 0.5, _UNIT1)
     assert out.state.theta[0] == 0.8
     assert out.state.p[0] == -0.5
     assert out.flips == 1
 
 
-def test_coord_step_exact_tie_bounces():
+def test_coord_update_exact_tie_bounces():
     model = StepBarrier(edge=1.0, height=0.5)
-    out = coord_step(model, all_disc_state([0.8], [0.5]), 0, 0.5, _UNIT1)
+    out = coord_sweep(model, all_disc_state([0.8], [0.5]), [0], 0.5, _UNIT1)
     assert out.state.theta[0] == 0.8
     assert out.state.p[0] == -0.5
     assert out.flips == 1
 
 
-def test_coord_step_zero_momentum_moves_right():
+def test_coord_update_zero_momentum_moves_right():
     # sign(0) = +1: the proposal goes right, and a downhill slope then
     # hands the freed potential to the momentum.
     model = LinearSlope(slope=-1.0)
-    out = coord_step(model, all_disc_state([0.0], [0.0]), 0, 0.5, _UNIT1)
+    out = coord_sweep(model, all_disc_state([0.0], [0.0]), [0], 0.5, _UNIT1)
     assert out.state.theta[0] == 0.5
     assert out.state.p[0] == pytest.approx(0.5)
     assert out.flips == 0
 
 
-def test_coord_step_infinite_wall_always_bounces():
+def test_coord_update_infinite_wall_always_bounces():
     model = GridTarget.from_probs([0.2, 0.5, 0.3])
-    out = coord_step(model, all_disc_state([3.5], [100.0]), 0, 1.0, _UNIT1)
+    out = coord_sweep(model, all_disc_state([3.5], [100.0]), [0], 1.0, _UNIT1)
     assert out.state.theta[0] == 3.5
     assert out.state.p[0] == -100.0
     assert out.flips == 1
 
 
-def test_coord_step_mass_scales_jump_and_budget():
+def test_coord_update_mass_scales_jump_and_budget():
     # m = 2 halves the jump and doubles the energy budget |p| / m.
     model = StepBarrier(edge=1.0, height=1.0)
     mass = MassSpec(m_disc=np.array([2.0]))
-    out = coord_step(model, all_disc_state([0.9], [3.0]), 0, 0.5, mass)
+    out = coord_sweep(model, all_disc_state([0.9], [3.0]), [0], 0.5, mass)
     assert out.state.theta[0] == pytest.approx(1.15)
     assert out.state.p[0] == pytest.approx(3.0 - 2.0 * 1.0)
 
 
-def test_coord_step_eval_accounting():
-    with_diff = coord_step(FlatTarget(dim=1, with_diff=True),
-                           all_disc_state([0.0], [1.0]), 0, 0.5, _UNIT1)
-    without = coord_step(FlatTarget(dim=1, with_diff=False),
-                         all_disc_state([0.0], [1.0]), 0, 0.5, _UNIT1)
+def test_coord_update_eval_accounting():
+    with_diff = coord_sweep(FlatTarget(dim=1, with_diff=True),
+                            all_disc_state([0.0], [1.0]), [0], 0.5, _UNIT1)
+    without = coord_sweep(FlatTarget(dim=1, with_diff=False),
+                          all_disc_state([0.0], [1.0]), [0], 0.5, _UNIT1)
     assert with_diff.potential_evals == 1
     assert without.potential_evals == 2
 
 
-def test_coord_step_argument_errors():
+def test_coord_update_argument_errors():
     st = all_disc_state([0.0], [1.0])
     with pytest.raises(ContractError):
-        coord_step(FlatTarget(dim=1), st, 0, 0.0, _UNIT1)
+        coord_sweep(FlatTarget(dim=1), st, [0], 0.0, _UNIT1)
     with pytest.raises(ContractError):
-        coord_step(FlatTarget(dim=1), st, 0, -0.1, _UNIT1)
+        coord_sweep(FlatTarget(dim=1), st, [0], -0.1, _UNIT1)
     smooth = all_smooth_state([0.0], [1.0])
     with pytest.raises(ContractError):
-        coord_step(GaussianTarget(dim=1), smooth, 0, 0.5,
-                   MassSpec.diagonal([1.0], []))
+        coord_sweep(GaussianTarget(dim=1), smooth, [0], 0.5,
+                    MassSpec.diagonal([1.0], []))
     with pytest.raises(ContractError):
-        coord_step(FlatTarget(dim=2), st, 0, 0.5, _UNIT1)
+        coord_sweep(FlatTarget(dim=2), st, [0], 0.5, _UNIT1)
 
 
 def test_nan_potential_raises():
@@ -124,9 +124,9 @@ def test_nan_potential_raises():
 
     st = all_disc_state([0.0], [1.0])
     with pytest.raises(ModelError):
-        coord_step(NanDiff(), st, 0, 0.5, _UNIT1)
+        coord_sweep(NanDiff(), st, [0], 0.5, _UNIT1)
     with pytest.raises(ModelError):
-        coord_step(NanPot(dim=1, with_diff=False), st, 0, 0.5, _UNIT1)
+        coord_sweep(NanPot(dim=1, with_diff=False), st, [0], 0.5, _UNIT1)
 
 
 # --------------------------------------------------------------- coord_sweep
@@ -214,8 +214,8 @@ def test_coord_update_volume_preservation():
         p0 = rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 3.0)
 
         def step(v):
-            out = coord_step(model, all_disc_state([v[0]], [v[1]]), 0, 0.7,
-                             _UNIT1)
+            out = coord_sweep(model, all_disc_state([v[0]], [v[1]]), [0],
+                              0.7, _UNIT1)
             return np.array([out.state.theta[0], out.state.p[0]])
 
         jac = fd_jacobian(step, np.array([theta0, p0]), h=1e-6)
@@ -226,8 +226,8 @@ def test_bounce_branch_determinant_is_minus_one():
     model = StepBarrier(edge=1.0, height=50.0)
 
     def step(v):
-        out = coord_step(model, all_disc_state([v[0]], [v[1]]), 0, 0.7,
-                         _UNIT1)
+        out = coord_sweep(model, all_disc_state([v[0]], [v[1]]), [0], 0.7,
+                          _UNIT1)
         return np.array([out.state.theta[0], out.state.p[0]])
 
     jac = fd_jacobian(step, np.array([0.8, 1.0]), h=1e-6)
@@ -382,7 +382,7 @@ def test_mixed_dhmc_step_keeps_smooth_momenta_bitwise(make):
         p[smooth] = rng.standard_normal(len(smooth))
         p[disc] = rng.laplace(size=len(disc))
         eps = float(rng.uniform(0.01, 0.1))
-        order = SweepOrder.draw(rng, disc)
+        order = rng.permutation(disc)
         out = dhmc_step(model, PhaseState(theta, p, smooth, disc), eps, mass,
                         order)
         assert not out.diverged
@@ -392,10 +392,10 @@ def test_mixed_dhmc_step_keeps_smooth_momenta_bitwise(make):
         ref_theta[smooth] += half * mass.smooth_velocity(ref_p[smooth])
         kicked = ref_p[smooth].copy()
         swept_p = ref_p.copy()
-        _sweep_inplace(model, ref_theta.copy(), swept_p, order.perm, eps,
+        _sweep_inplace(model, ref_theta.copy(), swept_p, order, eps,
                        tables)
         assert swept_p[smooth].tobytes() == kicked.tobytes()
-        flips, _ = _reference_sweep(model, ref_theta, ref_p, order.perm, eps,
+        flips, _ = _reference_sweep(model, ref_theta, ref_p, order, eps,
                                     mass, disc)
         assert flips == out.flips
         ref_theta[smooth] += half * mass.smooth_velocity(ref_p[smooth])
@@ -424,7 +424,7 @@ def test_dhmc_step_pure_smooth_is_velocity_verlet():
     model = GaussianTarget(dim=1)
     mass = MassSpec.diagonal([1.0], [])
     st = all_smooth_state([1.0], [0.0])
-    out = dhmc_step(model, st, 0.1, mass, SweepOrder(_EMPTY))
+    out = dhmc_step(model, st, 0.1, mass, _EMPTY)
     h0 = hamiltonian(model, st, mass)
     h1 = hamiltonian(model, out.state, mass)
     assert abs(h1 - h0) <= 1e-4
@@ -440,7 +440,7 @@ def test_dhmc_step_pure_smooth_is_velocity_verlet():
 def test_dhmc_step_smooth_local_error_order():
     model = GaussianTarget(dim=2, sd=[1.0, 1.3])
     mass = MassSpec.diagonal([1.0, 1.0], [])
-    order = SweepOrder(_EMPTY)
+    order = _EMPTY
     epss = 0.2 * 2.0 ** -np.arange(5)
     errs = []
     for eps in epss:
@@ -489,7 +489,7 @@ def test_dhmc_step_divergence_keeps_start_state():
     model = WalledGaussian(bound=2.0)
     mass = MassSpec.diagonal([1.0], [])
     st = all_smooth_state([1.9], [5.0])
-    out = dhmc_step(model, st, 0.5, mass, SweepOrder(_EMPTY))
+    out = dhmc_step(model, st, 0.5, mass, _EMPTY)
     assert out.diverged
     np.testing.assert_array_equal(out.state.theta, st.theta)
     np.testing.assert_array_equal(out.state.p, st.p)
@@ -619,27 +619,30 @@ def test_leapfrog_eval_count():
     assert out.potential_evals == 3
 
 
-# ---------------------------------------------------------------- SweepOrder
+# --------------------------------------------------------------- sweep orders
 
 
 def test_sweep_order_draw_and_reverse():
+    # drawn as _dhmc_move draws it, a plain array; its reverse is an order too
     rng = np.random.default_rng(0)
-    order = SweepOrder.draw(rng, [3, 5, 9])
-    assert sorted(order.perm.tolist()) == [3, 5, 9]
-    back = SweepOrder(perm=order.perm[::-1])
-    assert back.perm.tolist() == order.perm.tolist()[::-1]
-    for perm in (order.perm, back.perm):
-        with pytest.raises(ValueError):
-            perm[0] = 1
-    with pytest.raises(ContractError):
-        SweepOrder(np.zeros((2, 2), dtype=np.intp))
+    disc = np.array([3, 5, 9], dtype=np.intp)
+    order = rng.permutation(disc)
+    assert sorted(order.tolist()) == [3, 5, 9]
+    st = all_disc_state(np.zeros(10), np.ones(10))
+    mass = MassSpec(m_disc=np.ones(10))
+    model = FlatTarget(dim=10)
+    back = _check_step_args(model, st, mass, 0.5, order[::-1])
+    assert back.tolist() == order.tolist()[::-1]
+    with pytest.raises(ContractError, match="1-d"):
+        _check_step_args(model, st, mass, 0.5, np.zeros((2, 2), dtype=np.intp))
 
 
 def test_sweep_order_reversal_symmetry_frequencies():
     rng = np.random.default_rng(99)
+    disc = np.array([0, 1, 2], dtype=np.intp)
     counts = {}
     for _ in range(10**5):
-        perm = tuple(SweepOrder.draw(rng, [0, 1, 2]).perm.tolist())
+        perm = tuple(rng.permutation(disc).tolist())
         counts[perm] = counts.get(perm, 0) + 1
     assert len(counts) == 6
     for perm, c in counts.items():

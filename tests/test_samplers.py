@@ -16,6 +16,7 @@ from dhmc import (ConfigError, ContractError, MassSpec, PhaseState,
                   SamplerConfig, TargetModel, TuneState, adapt_stepsize,
                   run_chain, samplers)
 from dhmc.embedding import EmbeddingMap
+from dhmc.integrators import _sweep_tables
 from dhmc.models.binomial import BinomialNTarget
 from dhmc.models.simple import BananaTarget, GaussianTarget, GridTarget
 
@@ -565,6 +566,7 @@ def test_one_closing_potential_moves_as_a_potential_after_every_step(make):
     model = make()
     smooth, disc = model.smooth_idx, model.disc_idx
     mass = MassSpec.unit(len(smooth), len(disc))
+    tables = _sweep_tables(model, mass, disc, model.dim)
     evals = samplers.TRACE_DTYPE.names.index("potential_evals")
     early = late = 0
     for seed in range(30):
@@ -572,11 +574,11 @@ def test_one_closing_potential_moves_as_a_potential_after_every_step(make):
         u = model.potential(theta)
         rng, ref_rng = (np.random.default_rng(100 + seed) for _ in range(2))
         for _ in range(5):
-            args = (rng, (0.05, 1.5), (6, 12), mass, u)
-            new, row, u_new = samplers._dhmc_move(model, theta, smooth, disc,
-                                                  *args)
+            args = ((0.05, 1.5), (6, 12), mass)
+            new, row, u_new = samplers._dhmc_move(
+                model, theta, smooth, disc, rng, *args, tables, u)
             ref, ref_row, ref_u, steps = reference_dhmc_move(
-                model, theta, ref_rng, *args[1:])
+                model, theta, ref_rng, *args, u)
             assert new.tobytes() == ref.tobytes()
             assert u_new == ref_u
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -647,3 +649,44 @@ def test_cached_potential_is_none_or_exact(kernel, target, monkeypatch):
                         seed=31)
     run_chain(model, None, cfg)
     assert len(seen) == 90
+
+
+@pytest.mark.parametrize("kernel", ["dhmc", "dhmc_coordwise", "mwg"])
+@pytest.mark.parametrize("make", [CoupledMix, small_jolly_seber],
+                         ids=["coupled_mix", "jolly_seber"])
+def test_sweep_tables_follow_the_mass(make, kernel, monkeypatch):
+    # run_chain builds the tables once and again at the mass update; every
+    # move must get the tables of the mass it runs with
+    model = make()
+    move = samplers._dhmc_move
+    masses = []
+
+    def checked(model_, theta, smooth, disc, rng, eps_range, path_range, mass,
+                tables, u_current):
+        want = _sweep_tables(model_, mass, disc, model_.dim)
+        for got_col, want_col in zip(tables, want, strict=True):
+            np.testing.assert_array_equal(got_col, want_col)
+        if not masses or masses[-1] is not mass:
+            masses.append(mass)
+        return move(model_, theta, smooth, disc, rng, eps_range, path_range,
+                    mass, tables, u_current)
+
+    monkeypatch.setattr(samplers, "_dhmc_move", checked)
+    cfg = SamplerConfig(kernel=kernel, path_len=2, n_warmup=40, n_samples=10,
+                        seed=47)
+    store = run_chain(model, None, cfg)
+    assert len(masses) == 2  # the unit start, then the warmup estimate
+    assert store.mass is masses[-1]
+    assert not np.array_equal(masses[0].m_disc, masses[1].m_disc)
+
+
+def test_run_chain_leaves_the_model_index_arrays_writable():
+    # PhaseState copies the partition it freezes, as it copies theta and p
+    model = small_jolly_seber()
+    idx = (model.smooth_idx, model.disc_idx)
+    assert all(arr.flags.writeable for arr in idx)
+    run_chain(model, None, SamplerConfig(n_warmup=4, n_samples=2, seed=5))
+    st = PhaseState(model.initial_theta(np.random.default_rng(0)),
+                    np.zeros(model.dim), *idx)
+    assert all(arr.flags.writeable for arr in idx)
+    assert not any(arr.flags.writeable for arr in (st.smooth_idx, st.disc_idx))

@@ -3,8 +3,10 @@
 Every config runs 2 chains from seed 11 with 60 warmup and 150 sampling
 iterations and path length 8, through ``dhmc run``.  The output is a header
 line with the python, numpy and scipy versions, then one line per
-``samples.csv``, ``trace.csv`` and ``report.json``, in the format of
-``sha256sum``, so the lines of two trees can be compared with ``diff``:
+``samples.csv``, ``trace.csv`` and ``report.json``, and one per
+``plot_trajectory.csv`` (``dhmc plotdata --kind trajectory``) of the runs of
+an all-discontinuous model, in the format of ``sha256sum``, so the lines of
+two trees can be compared with ``diff``:
 
     python tools/pinned_artifacts.py > after.txt
 
@@ -55,6 +57,8 @@ CONFIGS = (
 )
 CHAINS = 2
 ARTIFACTS = ("samples.csv", "trace.csv", "report.json")
+# All-discontinuous models, whose runs also get trajectory plot data.
+TRAJECTORY = ("binomial_n", "pmf", "banana")
 
 
 def _sha256(path: str) -> str:
@@ -80,10 +84,15 @@ def run_all(work: str) -> list:
             code = main(["run", "--config", cfg_path, "--out", out])
         if code != 0:
             raise SystemExit(f"{label}: dhmc run exited with {code}")
-        for c in range(CHAINS):
-            for art in ARTIFACTS:
-                rel = f"{label}/chain_{c:02d}/{art}"
-                lines.append((_sha256(os.path.join(work, rel)), rel))
+        rels = [f"{label}/chain_{c:02d}/{art}"
+                for c in range(CHAINS) for art in ARTIFACTS]
+        if name in TRAJECTORY:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["plotdata", out, "--kind", "trajectory"])
+            if code != 0:
+                raise SystemExit(f"{label}: dhmc plotdata exited with {code}")
+            rels.append(f"{label}/plot_trajectory.csv")
+        lines.extend((_sha256(os.path.join(work, rel)), rel) for rel in rels)
     return lines
 
 
